@@ -18,9 +18,10 @@ import (
 // of an object set (the candidates that can win under *some* monotone
 // preference) and the top-k objects for a single preference query.
 //
-// The package-level functions build a throwaway index per call; Server
-// offers the same primitives against an index built once, via the shared
-// *Over helpers below.
+// The package-level functions build a throwaway index per call (on any
+// backend, so the paged one reports the paper's I/O); Server offers the
+// same primitives against an index built once — skyline through the shared
+// skylineOver below, top-k through its batch pipeline (server.go).
 
 // skylineOver computes the sorted skyline IDs of an already-built index.
 // The token is checked once before the computation starts — the skyline
@@ -42,17 +43,11 @@ func skylineOver(tree index.ObjectIndex, tok cancel.Token, c *stats.Counters) ([
 	return out, nil
 }
 
-// topkOver runs ranked search for a validated preference over an
-// already-built index, labelling results with the query ID. The token is
-// armed on the pooled searcher, so a canceled request stops within about
-// one node expansion.
-func topkOver(tree index.ObjectIndex, qid int, p prefs.Preference, k int, tok cancel.Token, c *stats.Counters) ([]Assignment, error) {
-	if k <= 0 {
-		return nil, nil
-	}
+// topkOver runs ranked search for a validated preference and k > 0 over a
+// freshly built index, labelling results with the query ID.
+func topkOver(tree index.ObjectIndex, qid int, p prefs.Preference, k int, c *stats.Counters) ([]Assignment, error) {
 	s := topk.AcquireSearcher(tree, p, c)
 	defer s.Release()
-	s.SetCancel(tok)
 	out := make([]Assignment, 0, k)
 	for len(out) < k {
 		r, ok, err := s.Next()
@@ -67,16 +62,19 @@ func topkOver(tree index.ObjectIndex, qid int, p prefs.Preference, k int, tok ca
 	return out, nil
 }
 
-// linearPref validates a linear query against dimensionality d.
-func linearPref(query Query, d int) (prefs.Function, error) {
-	f, err := prefs.NewFunction(query.ID, query.Weights)
+// appendQuery validates a linear query against dimensionality d and
+// normalises its weights onto arena (prefs.AppendFunction; a nil arena
+// yields a fresh vector), returning the function and the extended arena.
+// On error the arena comes back unchanged.
+func appendQuery(arena vec.Point, q Query, d int) (prefs.Function, vec.Point, error) {
+	f, ext, err := prefs.AppendFunction(arena, q.ID, q.Weights)
 	if err != nil {
-		return prefs.Function{}, fmt.Errorf("prefmatch: query %d: %w", query.ID, err)
+		return prefs.Function{}, arena, fmt.Errorf("prefmatch: query %d: %w", q.ID, err)
 	}
 	if f.Dim() != d {
-		return prefs.Function{}, fmt.Errorf("prefmatch: query %d has %d weights, want %d", query.ID, f.Dim(), d)
+		return prefs.Function{}, arena, fmt.Errorf("prefmatch: query %d has %d weights, want %d", q.ID, f.Dim(), d)
 	}
-	return f, nil
+	return f, ext, nil
 }
 
 // Skyline returns the IDs of the objects not dominated by any other object:
@@ -119,7 +117,7 @@ func TopK(objects []Object, query Query, k int, opts *Options) ([]Assignment, er
 	if err != nil {
 		return nil, err
 	}
-	f, err := linearPref(query, d)
+	f, _, err := appendQuery(nil, query, d)
 	if err != nil {
 		return nil, err
 	}
@@ -127,7 +125,7 @@ func TopK(objects []Object, query Query, k int, opts *Options) ([]Assignment, er
 	if err != nil {
 		return nil, err
 	}
-	return topkOver(tree, query.ID, f, k, cancel.Token{}, c)
+	return topkOver(tree, query.ID, f, k, c)
 }
 
 // TopKMonotone is TopK for an arbitrary monotone preference.
@@ -152,7 +150,7 @@ func TopKMonotone(objects []Object, query PreferenceQuery, k int, opts *Options)
 	if err != nil {
 		return nil, err
 	}
-	return topkOver(tree, query.ID, prefAdapter{p: query.Preference}, k, cancel.Token{}, c)
+	return topkOver(tree, query.ID, prefAdapter{p: query.Preference}, k, c)
 }
 
 // Dominates reports whether object a dominates object b: at least as good

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -104,30 +105,62 @@ func newFaultyShardedServer(t *testing.T, n, shards int, opts *Options) (*Server
 	return srv, fixs
 }
 
-// searchedShard picks a shard the given top-k request actually reads
-// (MBR pruning can skip low-bound shards whole, so faults must be
-// injected into a shard the fan-out visits). It runs the request once
-// clean and returns the first shard with snapshot reads.
-func searchedShard(t *testing.T, srv *Server, fixs []*faulty.Index, q Query, k int) int {
+// topShard picks the shard whose bounding box scores highest under q. The
+// ranked fan-out visits shards in descending bound order and prunes only a
+// shard whose bound falls strictly below the current k-th score, which no
+// other shard's objects can push above this one's bound — so the top shard
+// is read by every request for q, on any core count, and a fault injected
+// there always fires. The bound is computed through the live index's reads
+// (SiteRead), leaving the snapshot counters untouched.
+func topShard(t *testing.T, fixs []*faulty.Index, q Query) int {
 	t.Helper()
-	if _, err := srv.TopK(q, k); err != nil {
-		t.Fatalf("warm-up TopK: %v", err)
-	}
+	best, bestBound := -1, math.Inf(-1)
 	for s, fix := range fixs {
-		if fix.Calls(faulty.SiteRefill) > 0 {
-			return s
+		if fix.Len() == 0 {
+			continue
+		}
+		root, err := fix.ReadNode(fix.RootPage())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi := make([]float64, fix.Dim())
+		for j := range hi {
+			hi[j] = math.Inf(-1)
+		}
+		for i := 0; i < root.Len(); i++ {
+			var p []float64
+			if root.Leaf() {
+				p = root.Object(i).Point
+			} else {
+				p = root.Rect(i).Hi
+			}
+			for j := range hi {
+				hi[j] = max(hi[j], p[j])
+			}
+		}
+		bound := 0.0
+		for j, w := range q.Weights {
+			bound += w * hi[j]
+		}
+		if bound > bestBound {
+			best, bestBound = s, bound
 		}
 	}
-	t.Fatal("no shard was searched by the warm-up request")
-	return -1
+	return best
 }
 
 // A 50ms deadline over a sharded top-k with one 500ms-slow shard must come
 // back with ErrDeadlineExceeded — not hang until the slow shard finishes
 // its whole search, and not leak the pooled searchers it armed.
 func TestChaosDeadlineOnSlowShard(t *testing.T) {
-	srv, fixs := newFaultyShardedServer(t, 600, 4, nil)
-	slow := searchedShard(t, srv, fixs, chaosQuery(1), 10)
+	// 1000 objects per shard: every shard is a root over several leaves, so
+	// the deadline fires between node reads, mid-walk, not after a
+	// single-leaf shard's only read.
+	srv, fixs := newFaultyShardedServer(t, 4000, 4, nil)
+	slow := topShard(t, fixs, chaosQuery(1))
+	if root, err := fixs[slow].ReadNode(fixs[slow].RootPage()); err != nil || root.Leaf() {
+		t.Fatalf("slow shard is a single leaf (err %v): the deadline cannot land mid-walk", err)
+	}
 	fixs[slow].Inject(faulty.SiteRefill, faulty.Fault{Latency: 500 * time.Millisecond})
 
 	ctx, cancelFn := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -235,7 +268,7 @@ func TestChaosCanceledBeforeAdmission(t *testing.T) {
 // subsequent requests stay healthy and the process stays up.
 func TestChaosPanicIsolatedToRequest(t *testing.T) {
 	srv, fixs := newFaultyShardedServer(t, 600, 4, nil)
-	poisonShard := searchedShard(t, srv, fixs, chaosQuery(1), 10)
+	poisonShard := topShard(t, fixs, chaosQuery(1))
 	fixs[poisonShard].Inject(faulty.SiteRefill, faulty.Fault{Panic: "chaos: injected", Times: 1})
 
 	_, poisoned := srv.TopK(chaosQuery(1), 10)

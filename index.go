@@ -72,7 +72,7 @@ func (ix *Index) Backend() Backend { return ix.opts.Backend }
 // destructive algorithms are rejected with an error) and its storage
 // fields are ignored (fixed at BuildIndex time).
 func (ix *Index) Match(queries []Query, opts *Options) (*Result, error) {
-	res, _, err := matchWave(ix.ix, ix.capacities, queries, opts, cancel.Token{})
+	res, _, err := matchWave(ix.ix, ix.capacities, queries, opts, cancel.Token{}, 0)
 	return res, err
 }
 
@@ -109,11 +109,11 @@ func waveInputs(dim int, queries []Query, opts *Options) ([]prefs.Function, *cor
 // remaining objects on the side, so the same tree can serve the next wave —
 // or, through read-only snapshots, other waves running concurrently. With
 // opts.ShardMatch set and a sharded index, the wave fans across per-shard
-// snapshots (sharded.MatchWave) instead of traversing the composite
-// single-threaded — same assignments, same order, same scores. The counters
-// charged with the run are returned alongside the result so callers can
-// aggregate across waves.
-func matchWave(tree index.ObjectIndex, capacities map[index.ObjID]int, queries []Query, opts *Options, tok cancel.Token) (*Result, *stats.Counters, error) {
+// snapshots (sharded.MatchWave, shardWorkers workers, 0 meaning GOMAXPROCS)
+// instead of traversing the composite single-threaded — same assignments,
+// same order, same scores. The counters charged with the run are returned
+// alongside the result so callers can aggregate across waves.
+func matchWave(tree index.ObjectIndex, capacities map[index.ObjID]int, queries []Query, opts *Options, tok cancel.Token, shardWorkers int) (*Result, *stats.Counters, error) {
 	fns, copts, err := waveInputs(tree.Dim(), queries, opts)
 	if err != nil {
 		return nil, nil, err
@@ -128,7 +128,7 @@ func matchWave(tree index.ObjectIndex, capacities map[index.ObjID]int, queries [
 		}
 		var timer stats.Timer
 		timer.Start()
-		pairs, err := sh.MatchWave(fns, copts, 0, c)
+		pairs, err := sh.MatchWave(fns, copts, shardWorkers, c)
 		timer.Stop()
 		if err != nil {
 			return nil, nil, err

@@ -9,6 +9,7 @@ import (
 	"prefmatch/internal/index"
 	"prefmatch/internal/index/mem"
 	"prefmatch/internal/index/paged"
+	"prefmatch/internal/prefs"
 	"prefmatch/internal/stats"
 )
 
@@ -219,8 +220,8 @@ func TestMatchWaveSnapshotError(t *testing.T) {
 	if !strings.Contains(err.Error(), "Snapshotter") || !strings.Contains(err.Error(), "shard 0") {
 		t.Fatalf("wave error does not name Snapshotter and the shard: %v", err)
 	}
-	if _, err := pix.SearchTopK(fns[0], 3, 2, nil); err == nil || !strings.Contains(err.Error(), "Snapshotter") {
-		t.Fatalf("SearchTopK error does not name Snapshotter: %v", err)
+	if _, err := pix.SearchTopKBatch([]prefs.Preference{fns[0]}, 3, 2, nil); err == nil || !strings.Contains(err.Error(), "Snapshotter") {
+		t.Fatalf("SearchTopKBatch error does not name Snapshotter: %v", err)
 	}
 }
 

@@ -21,11 +21,12 @@
 // shard count and any partitioner (enforced by the cross-shard equivalence
 // tests).
 //
-// Beyond the plain ObjectIndex surface, the composite offers SearchTopK: a
-// ranked fan-out that searches the shards concurrently — one read-only
-// snapshot per shard — merges the per-shard streams through a score-ordered
-// heap, and skips shards whose MBR upper bound cannot beat the current k-th
-// result (counted in stats.Counters.ShardsPruned).
+// Beyond the plain ObjectIndex surface, the composite offers
+// SearchTopKBatch: a ranked fan-out that walks each shard once for a whole
+// batch of preference functions — one read-only snapshot per shard, shards
+// searched concurrently — merges the per-shard results through
+// score-ordered heaps, and skips shards whose MBR upper bound cannot beat
+// the current k-th result (counted in stats.Counters.ShardsPruned).
 //
 // # Concurrency
 //
@@ -216,7 +217,7 @@ type shardLoad struct {
 }
 
 // ShardLoad is a point-in-time copy of one shard's fan-out accounting.
-// Queries counts ranked fan-outs (SearchTopK / SearchTopKBatch) that
+// Queries counts ranked fan-outs (SearchTopKBatch) that
 // actually searched the shard, Pruned those that skipped it whole on its
 // MBR upper bound, and Busy the cumulative wall clock of the searches. A
 // shard whose Queries run far above the mean is hot — the re-partitioning
@@ -852,7 +853,7 @@ func shardPointsWithin(shard index.ObjectIndex, bound vec.Rect) error {
 // --- Snapshots ---------------------------------------------------------
 
 // CanSnapshot reports whether every shard implements index.Snapshotter —
-// the precondition of Snapshot and SearchTopK. Memory shards qualify; paged
+// the precondition of Snapshot and SearchTopKBatch. Memory shards qualify; paged
 // shards do not.
 func (ix *Index) CanSnapshot() bool { return ix.canSnap }
 
@@ -991,167 +992,13 @@ func (s *snapshot) Validate() error {
 // always the current k-th best (the pruning threshold).
 func worseFirst(a, b topk.Result) bool { return topk.Better(b, a) }
 
-// mergePool recycles merge heaps across SearchTopK calls — each request used
-// to allocate a fresh closure heap, which the serving path's zero-allocation
-// budget cannot afford.
-var mergePool = sync.Pool{New: func() any {
-	q := &pqueue.Queue[topk.Result]{}
-	q.Init(worseFirst)
-	return q
-}}
-
-func acquireMergeHeap() *pqueue.Queue[topk.Result] {
-	return mergePool.Get().(*pqueue.Queue[topk.Result])
-}
-
-func releaseMergeHeap(q *pqueue.Queue[topk.Result]) {
-	q.Reset() // drop result references so the pool cannot pin an arena
-	mergePool.Put(q)
-}
-
-// SearchTopK returns the k best objects for pref, best first, by fanning
-// ranked search across the shards and merging through a score-ordered heap.
-// Each shard is searched on its own read-only snapshot with its own counter
-// sink — workers goroutines process shards concurrently (0 or negative
-// means GOMAXPROCS, more than the shard count is clamped) — and the
-// per-shard counters are merged into c afterwards (nil means the
-// composite's own sink).
-//
-// Shards are claimed in descending order of the preference's upper bound
-// over their MBR; a shard whose bound cannot beat the current k-th result
-// is skipped entirely (counted in c.ShardsPruned), and a shard search stops
-// as soon as its next result cannot beat the current k-th. Both cuts are
-// exact: the result is always the same as searching one combined index.
-func (ix *Index) SearchTopK(pref prefs.Preference, k, workers int, c *stats.Counters) ([]topk.Result, error) {
-	return ix.SearchTopKCancel(pref, k, workers, cancel.Token{}, c)
-}
-
-// SearchTopKCancel is SearchTopK with a cooperative cancellation token:
-// every shard worker checks it before claiming a shard and arms its
-// pooled searcher with it, so one observed deadline aborts the whole
-// fan-out — including shards still traversing — with the token's
-// stage-tagged error.
-func (ix *Index) SearchTopKCancel(pref prefs.Preference, k, workers int, tok cancel.Token, c *stats.Counters) ([]topk.Result, error) {
-	if c == nil {
-		c = ix.c
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	if !ix.canSnap {
-		return nil, ix.errNoSnapshots("ranked fan-out")
-	}
-
-	entries := ix.rootEntries()
-	type job struct {
-		shard int
-		bound float64
-	}
-	jobs := make([]job, len(entries))
-	for i, e := range entries {
-		jobs[i] = job{shard: e.shard, bound: pref.UpperBound(e.rect)}
-	}
-	sort.Slice(jobs, func(i, j int) bool {
-		if jobs[i].bound != jobs[j].bound {
-			return jobs[i].bound > jobs[j].bound
-		}
-		return jobs[i].shard < jobs[j].shard
-	})
-
-	var (
-		mu  sync.Mutex
-		acc = acquireMergeHeap() // Pop/Peek = current worst
-	)
-	defer releaseMergeHeap(acc)
-	sinks := make([]*stats.Counters, len(jobs))
-	runShard := func(j int) error {
-		if err := tok.Check("shard.fanout"); err != nil {
-			return err
-		}
-		sink := &stats.Counters{}
-		sinks[j] = sink
-		// Whole-shard MBR pruning: with k results on the heap already, a
-		// shard whose bound is below the k-th score holds no winner. A
-		// bound *equal* to the k-th score must still be searched — an
-		// equal-score object can win on the sum/ID tie-break.
-		mu.Lock()
-		full := acc.Len() == k
-		var worst topk.Result
-		if full {
-			worst, _ = acc.Peek()
-		}
-		mu.Unlock()
-		if full && jobs[j].bound < worst.Score {
-			sink.ShardsPruned++
-			ix.loads[jobs[j].shard].pruned.Add(1)
-			return nil
-		}
-		load := &ix.loads[jobs[j].shard]
-		load.queries.Add(1)
-		searchStart := time.Now()
-		defer func() { load.nanos.Add(int64(time.Since(searchStart))) }()
-		snap := ix.shards[jobs[j].shard].(index.Snapshotter).Snapshot()
-		snap.SetCounters(sink)
-		search := topk.AcquireSearcher(snap, pref, sink)
-		search.SetCancel(tok)
-		defer search.Release()
-		// A shard contributes at most its own k best: its stream is exactly
-		// descending, so result k+1 cannot displace anything its first k
-		// could not.
-		for taken := 0; taken < k; taken++ {
-			r, ok, err := search.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			mu.Lock()
-			if acc.Len() < k {
-				acc.Push(r)
-			} else {
-				worst, _ := acc.Peek()
-				if !topk.Better(r, worst) {
-					// The stream is descending, so no later result of this
-					// shard can beat the (only improving) k-th either.
-					mu.Unlock()
-					return nil
-				}
-				acc.Pop()
-				acc.Push(r)
-			}
-			mu.Unlock()
-		}
-		return nil
-	}
-
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	err := fanIndexed(len(jobs), workers, runShard)
-
-	for _, sink := range sinks {
-		if sink != nil {
-			c.Add(sink)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([]topk.Result, acc.Len())
-	for i := acc.Len() - 1; i >= 0; i-- {
-		r, _ := acc.Pop()
-		out[i] = r
-	}
-	return out, nil
-}
-
 // SearchTopKBatch answers one ranked top-k query per preference in fns with
 // a single batched pass over the shards: each shard that survives pruning is
 // walked once by a shared-traversal topk.BatchSearcher serving every
 // function still interested in it, instead of once per function. Results are
 // merged per function through worst-first heaps, so out[f] is bit-identical
-// to SearchTopK(fns[f], k, ...) — same objects, same order.
+// to ranked search for fns[f] over one combined index — same objects, same
+// order.
 //
 // Pruning is per (shard, function): a function with k results already whose
 // k-th beats the shard's upper bound is dropped from that shard's batch
@@ -1167,8 +1014,10 @@ func (ix *Index) SearchTopKBatch(fns []prefs.Preference, k, workers int, c *stat
 }
 
 // SearchTopKBatchCancel is SearchTopKBatch with a cooperative
-// cancellation token, threaded into every per-shard batch searcher
-// exactly like SearchTopKCancel.
+// cancellation token: every shard worker checks it before claiming a shard
+// and arms its batch searcher with it, so one observed deadline aborts the
+// whole fan-out — including shards still traversing — with the token's
+// stage-tagged error.
 func (ix *Index) SearchTopKBatchCancel(fns []prefs.Preference, k, workers int, tok cancel.Token, c *stats.Counters) ([][]topk.Result, error) {
 	if c == nil {
 		c = ix.c
@@ -1224,9 +1073,11 @@ func (ix *Index) SearchTopKBatchCancel(fns []prefs.Preference, k, workers int, t
 		}
 		sink := &stats.Counters{}
 		sinks[j] = sink
-		// Per-function shard pruning under the same rule as SearchTopK's
-		// whole-shard cut: full heap + bound strictly below the k-th score
-		// means this shard holds nothing for that function.
+		// Per-function shard pruning: a full heap whose k-th score is
+		// strictly above the shard's bound means this shard holds nothing
+		// for that function. A bound *equal* to the k-th score must still
+		// be searched — an equal-score object can win on the sum/ID
+		// tie-break.
 		var (
 			sub    []prefs.Preference
 			subIdx []int

@@ -250,9 +250,9 @@ func TestCompositeSnapshot(t *testing.T) {
 	pix.Snapshot()
 }
 
-// TestSearchTopKEquivalence: the fan-out/merge answer must be bit-identical
-// to ranked search over one combined memory index, for every partitioner,
-// shard count, k and worker count.
+// TestSearchTopKEquivalence: the fan-out/merge answer for one function must
+// be bit-identical to ranked search over one combined memory index, for
+// every partitioner, shard count, k and worker count.
 func TestSearchTopKEquivalence(t *testing.T) {
 	const d = 3
 	items := dataset.Clustered(900, d, 6, 17)
@@ -274,11 +274,11 @@ func TestSearchTopKEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						c := &stats.Counters{}
-						got, err := ix.SearchTopK(f, k, workers, c)
+						out, err := ix.SearchTopKBatch([]prefs.Preference{f}, k, workers, &stats.Counters{})
 						if err != nil {
 							t.Fatal(err)
 						}
+						got := out[0]
 						if len(want) == 0 {
 							want = nil
 						}
@@ -305,7 +305,7 @@ func TestSearchTopKPruning(t *testing.T) {
 	fns := dataset.Functions(10, d, 20)
 	c := &stats.Counters{}
 	for _, f := range fns {
-		if _, err := ix.SearchTopK(f, 1, 1, c); err != nil {
+		if _, err := ix.SearchTopKBatch([]prefs.Preference{f}, 1, 1, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestSearchTopKEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dataset.Functions(1, 2, 22)[0]
-	if out, err := ix.SearchTopK(f, 0, 1, nil); err != nil || out != nil {
+	if out, err := ix.SearchTopKBatch([]prefs.Preference{f}, 0, 1, nil); err != nil || len(out) != 1 || out[0] != nil {
 		t.Fatalf("k=0: (%v, %v)", out, err)
 	}
 	// Paged shards: descriptive error, naming Snapshotter.
@@ -331,7 +331,7 @@ func TestSearchTopKEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pix.SearchTopK(f, 3, 2, nil); err == nil {
+	if _, err := pix.SearchTopKBatch([]prefs.Preference{f}, 3, 2, nil); err == nil {
 		t.Fatal("fan-out over paged shards accepted")
 	}
 }
@@ -437,13 +437,17 @@ func TestShardNodesForwardFlatPayloads(t *testing.T) {
 }
 
 // TestSearchTopKBatchEquivalence: the batched fan-out must return, for every
-// function in the batch, exactly what the per-function SearchTopK returns —
-// same objects, same order — across partitioners, shard counts, batch sizes,
-// k and worker counts.
+// function in the batch, exactly what ranked search over one combined memory
+// index returns — same objects, same order — across partitioners, shard
+// counts, batch sizes, k and worker counts.
 func TestSearchTopKBatchEquivalence(t *testing.T) {
 	const d = 3
 	items := dataset.Clustered(900, d, 6, 17)
 	fns := dataset.Functions(16, d, 18)
+	single, err := mem.Build(d, items, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prefsOf := func(q int) []prefs.Preference {
 		ps := make([]prefs.Preference, q)
 		for i := range ps {
@@ -469,7 +473,7 @@ func TestSearchTopKBatchEquivalence(t *testing.T) {
 							t.Fatalf("q=%d: %d result sets", q, len(got))
 						}
 						for f := range batch {
-							want, err := ix.SearchTopK(batch[f], k, 1, &stats.Counters{})
+							want, err := topk.Search(single, batch[f], k, &stats.Counters{})
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -114,27 +114,10 @@ type Searcher struct {
 	floor    float64      // entries bounded strictly below it are never pushed (see SetFloor)
 }
 
-// IncSearch is the historical name of Searcher.
-//
-// Deprecated: use Searcher (with NewSearcher/Reset or AcquireSearcher); the
-// alias is kept only so PR-4-era callers keep compiling.
-type IncSearch = Searcher
-
 // NewSearcher returns an unbound reusable searcher; call Reset before Next.
 func NewSearcher() *Searcher {
 	s := &Searcher{}
 	s.frontier.Init(better)
-	return s
-}
-
-// NewIncSearch starts an incremental ranked search for pref over t, charging
-// work to c (nil means the tree's own counters).
-//
-// Deprecated: use NewSearcher followed by Reset, or AcquireSearcher for a
-// pooled one.
-func NewIncSearch(t index.ObjectIndex, pref prefs.Preference, c *stats.Counters) *IncSearch {
-	s := NewSearcher()
-	s.Reset(t, pref, c)
 	return s
 }
 
@@ -187,7 +170,7 @@ func (s *Searcher) SetCancel(t cancel.Token) { s.cancel = t }
 func (s *Searcher) SetFloor(floor float64) { s.floor = floor }
 
 // searcherPool recycles warmed searchers across queries and goroutines: the
-// serving path (Server.TopK/TopKMany, the sharded per-shard fan-out) would
+// serving path (session walks, the matchers' top-1 searches) would
 // otherwise allocate a frontier per query.
 var searcherPool = sync.Pool{New: func() any { return NewSearcher() }}
 

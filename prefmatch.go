@@ -81,6 +81,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"prefmatch/internal/core"
@@ -601,6 +602,27 @@ func convertObjectSet(objects []Object) (d int, items []index.Item, capacities m
 	return d, items, capacities, nil
 }
 
+// checkObject is the per-object validation of every path that indexes an
+// object (convertObjects, the write path's validateObject). NaN and ±Inf
+// attributes are rejected: they would poison R-tree geometry.
+func checkObject(o Object, d int) error {
+	if len(o.Values) != d {
+		return fmt.Errorf("prefmatch: object %d has %d attributes, want %d", o.ID, len(o.Values), d)
+	}
+	if o.ID < 0 || int64(o.ID) > 1<<31-1 {
+		return fmt.Errorf("prefmatch: object ID %d out of range", o.ID)
+	}
+	if o.Capacity < 0 {
+		return fmt.Errorf("prefmatch: object %d has negative capacity %d", o.ID, o.Capacity)
+	}
+	for j, v := range o.Values {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("prefmatch: object %d attribute %d is %v, want a finite value", o.ID, j, v)
+		}
+	}
+	return nil
+}
+
 // convertObjects validates objects and converts them to index items plus a
 // capacity map (nil when every capacity is the default 1).
 func convertObjects(objects []Object, d int) ([]index.Item, map[index.ObjID]int, error) {
@@ -608,17 +630,11 @@ func convertObjects(objects []Object, d int) ([]index.Item, map[index.ObjID]int,
 	seenObj := make(map[int]bool, len(objects))
 	var capacities map[index.ObjID]int
 	for i, o := range objects {
-		if len(o.Values) != d {
-			return nil, nil, fmt.Errorf("prefmatch: object %d has %d attributes, want %d", o.ID, len(o.Values), d)
-		}
-		if o.ID < 0 || int64(o.ID) > 1<<31-1 {
-			return nil, nil, fmt.Errorf("prefmatch: object ID %d out of range", o.ID)
+		if err := checkObject(o, d); err != nil {
+			return nil, nil, err
 		}
 		if seenObj[o.ID] {
 			return nil, nil, fmt.Errorf("prefmatch: duplicate object ID %d", o.ID)
-		}
-		if o.Capacity < 0 {
-			return nil, nil, fmt.Errorf("prefmatch: object %d has negative capacity %d", o.ID, o.Capacity)
 		}
 		if o.Capacity > 1 {
 			if capacities == nil {

@@ -43,8 +43,8 @@ import (
 //
 // With Options.Shards set, the server runs on the sharded composite over
 // memory (or dynamic) shards: skyline requests traverse a composite
-// snapshot, top-k requests fan ranked search across per-shard snapshot
-// workers and merge, and matching waves run shard-parallel through
+// snapshot, top-k batches fan across per-shard snapshot workers and merge,
+// and matching waves run shard-parallel through
 // sharded.MatchWave — the SB loop at the merge point, per-shard skylines
 // computed and maintained concurrently — with results bit-identical to the
 // single-index wave. Shards whose bounding box cannot contribute are
@@ -57,8 +57,14 @@ import (
 // internal invariant ever let one through.
 type Server struct {
 	ix      servingIndex
-	sh      *sharded.Index // non-nil for a sharded index: enables the per-shard ranked fan-out
+	sh      *sharded.Index // non-nil for a sharded index: enables the shard-parallel matching wave
 	scratch sync.Pool      // *serveScratch: pooled per-request plumbing
+
+	// searchBatch is the one top-k search, chosen in newServer: the pooled
+	// snapshot's batch searcher (searchSnapshot) or the sharded fan-out
+	// (searchShards). It answers fns, each wanting its k best, into sc.rbuf
+	// and sc.roffs, charging sc.c; workers is the shard worker budget.
+	searchBatch func(sc *serveScratch, fns []prefs.Preference, k int, tok cancel.Token, workers int) error
 
 	// capacities is the capacity map in effect for new requests, replaced
 	// copy-on-write by the write path (Insert/Update/Remove) so in-flight
@@ -111,39 +117,46 @@ func (s *Server) caps() map[index.ObjID]int {
 }
 
 // serveScratch is the per-request plumbing a read-only request needs — a
-// snapshot wired to a private counter sink, plus the batched path's reusable
-// buffers — pooled so a steady-state request allocates nothing. Reusing a
-// snapshot across requests is sound on every serving backend, each by its
-// own mutation story: mem views stay valid forever under the freeze
-// contract (the index never mutates while the server is in use), while
-// dynamic and sharded-over-dynamic views pin an epoch — refresh (reset on
-// acquire, allocation-free) re-pins the latest one, and the request then
-// reads that epoch consistently no matter how the writers and background
-// merges rotate underneath it.
+// snapshot wired to a private counter sink, plus the top-k pipeline's
+// reusable buffers — pooled so a steady-state request allocates nothing.
+// Reusing a snapshot across requests is sound on every serving backend: mem
+// views stay valid forever under the freeze contract, while dynamic and
+// sharded-over-dynamic views pin an epoch — pin re-pins the latest one,
+// allocation-free, and the request then reads that epoch consistently
+// however writers and background merges rotate underneath it.
 type serveScratch struct {
 	snap    index.ObjectIndex
 	refresh func() // re-pins the latest epoch; nil on non-rotating backends
 	c       stats.Counters
-	arena   vec.Point          // normalised query weights, appended per batch
-	fnvals  []prefs.Function   // batch functions, weights aliasing arena
-	fns     []prefs.Preference // *Function views of fnvals (pointer boxing is allocation-free)
+	arena   vec.Point          // normalised query weights
+	fnvals  []prefs.Function   // linear batch functions, weights aliasing arena
+	fns     []prefs.Preference // the batch: *Function views of fnvals, or one monotone adapter
+	qids    []int              // query ID per function, labelling its assignments
 	ks      []int
-	rbuf    []topk.Result
+	rbuf    []topk.Result // searchBatch output, flat
+	roffs   []int         // searchBatch output boundaries, one per function plus the end
+	offs    []int         // per-query boundaries for callers without an offsets buffer
 }
 
-func (s *Server) acquireScratch() *serveScratch {
-	sc := s.scratch.Get().(*serveScratch)
+// getScratch takes a pooled scratch without pinning it: validation needs
+// only its arena.
+func (s *Server) getScratch() *serveScratch { return s.scratch.Get().(*serveScratch) }
+
+// pin zeroes the scratch's counter sink and re-pins its snapshot to the
+// latest epoch.
+func (sc *serveScratch) pin() {
 	sc.c = stats.Counters{}
 	if sc.refresh != nil {
 		sc.refresh()
 	}
-	return sc
 }
 
 func (s *Server) releaseScratch(sc *serveScratch) {
 	sc.arena = sc.arena[:0]
 	sc.fnvals = sc.fnvals[:0]
+	clear(sc.fns) // drop monotone adapters so the pool cannot pin a caller's preference
 	sc.fns = sc.fns[:0]
+	sc.qids = sc.qids[:0]
 	s.scratch.Put(sc)
 }
 
@@ -234,8 +247,10 @@ func newServer(ix index.ObjectIndex, capacities map[index.ObjID]int, opts *Optio
 	if capacities != nil {
 		s.capacities.Store(&capacities)
 	}
+	s.searchBatch = searchSnapshot
 	if sh, ok := ix.(*sharded.Index); ok {
 		s.sh = sh
+		s.searchBatch = s.searchShards
 	}
 	s.scratch.New = func() any {
 		sc := &serveScratch{snap: s.ix.Snapshot()}
@@ -271,14 +286,8 @@ func (s *Server) mutable() (index.MutableIndex, error) {
 // validateObject is the write-path counterpart of convertObjects' per-object
 // checks, returning the converted ID and a cloned point.
 func (s *Server) validateObject(obj Object) (index.ObjID, vec.Point, error) {
-	if len(obj.Values) != s.ix.Dim() {
-		return 0, nil, fmt.Errorf("prefmatch: object %d has %d attributes, want %d", obj.ID, len(obj.Values), s.ix.Dim())
-	}
-	if obj.ID < 0 || int64(obj.ID) > 1<<31-1 {
-		return 0, nil, fmt.Errorf("prefmatch: object ID %d out of range", obj.ID)
-	}
-	if obj.Capacity < 0 {
-		return 0, nil, fmt.Errorf("prefmatch: object %d has negative capacity %d", obj.ID, obj.Capacity)
+	if err := checkObject(obj, s.ix.Dim()); err != nil {
+		return 0, nil, err
 	}
 	return index.ObjID(obj.ID), vec.Point(obj.Values).Clone(), nil
 }
@@ -471,14 +480,10 @@ func (s *Server) Len() int { return s.ix.Len() }
 // Dim returns the number of attributes per object.
 func (s *Server) Dim() int { return s.ix.Dim() }
 
-// record merges one completed request's accounting into the server totals.
-func (s *Server) record(c *stats.Counters, elapsed time.Duration) {
-	s.recordN(c, elapsed, 1)
-}
-
-// recordN is record for a batched request answering n logical queries at
-// once: Served still advances by n, so batching changes how the work is
-// done, not how much serving the totals report.
+// recordN merges one completed request's accounting into the server
+// totals. A batched request answering n logical queries at once advances
+// Served by n, so batching changes how the work is done, not how much
+// serving the totals report.
 func (s *Server) recordN(c *stats.Counters, elapsed time.Duration, n int) {
 	s.mu.Lock()
 	s.agg.Add(c)
@@ -552,53 +557,32 @@ func (s *Server) matchReq(tok cancel.Token, queries []Query, opts *Options) (_ *
 // match implements Match with an explicit shard-worker budget: 0 lets a
 // lone request fan across GOMAXPROCS shard workers, while MatchMany passes
 // its budget split so the outer per-wave fan-out and the inner per-shard
-// fan-out never multiply into oversubscription (the TopKMany discipline).
-// The caller has already passed the admission gate.
+// fan-out never multiply into oversubscription. On a sharded server the
+// wave runs shard-parallel (sharded.MatchWave pins its own per-shard
+// snapshots); otherwise it runs on a fresh snapshot. The caller has already
+// passed the admission gate.
 func (s *Server) match(tok cancel.Token, queries []Query, opts *Options, shardWorkers int) (*Result, error) {
-	if s.sh != nil {
-		return s.matchSharded(tok, queries, opts, shardWorkers)
-	}
 	var tr reqTrace
 	tr.begin(0)
-	snap := s.ix.Snapshot()
+	var tree index.ObjectIndex
+	if s.sh != nil {
+		var o Options
+		if opts != nil {
+			o = *opts
+		}
+		o.ShardMatch = true
+		tree, opts = s.sh, &o
+	} else {
+		tree = s.ix.Snapshot()
+	}
 	tr.mark(stagePin)
-	res, c, err := matchWave(snap, s.caps(), queries, opts, tok)
+	res, c, err := matchWave(tree, s.caps(), queries, opts, tok, shardWorkers)
 	tr.mark(stageTraverse)
 	if err != nil {
 		s.om.fail(opMatch)
 		return nil, err
 	}
-	s.record(c, res.Stats.Elapsed)
-	tr.mark(stageMerge)
-	s.om.finish(opMatch, &tr, c, 1)
-	return res, nil
-}
-
-// matchSharded answers one matching wave on a sharded server by fanning the
-// engine across per-shard snapshots (sharded.MatchWave) with the given
-// shard-worker budget. The wave's merged accounting is recorded into the
-// server totals exactly like any other request.
-func (s *Server) matchSharded(tok cancel.Token, queries []Query, opts *Options, shardWorkers int) (*Result, error) {
-	vstart := time.Now()
-	fns, copts, err := waveInputs(s.ix.Dim(), queries, opts)
-	if err != nil {
-		s.om.fail(opMatch)
-		return nil, err
-	}
-	var tr reqTrace
-	tr.begin(time.Since(vstart))
-	copts.Capacities = s.caps()
-	copts.Cancel = tok
-	c := &stats.Counters{}
-	pairs, err := s.sh.MatchWave(fns, copts, shardWorkers, c)
-	tr.mark(stageTraverse)
-	if err != nil {
-		s.om.fail(opMatch)
-		return nil, err
-	}
-	res := &Result{Assignments: assignmentsFromPairs(pairs)}
-	res.Stats = statsFromCounters(c, tr.stages[stageTraverse])
-	s.record(c, tr.stages[stageTraverse])
+	s.recordN(c, res.Stats.Elapsed, 1)
 	tr.mark(stageMerge)
 	s.om.finish(opMatch, &tr, c, 1)
 	return res, nil
@@ -628,16 +612,7 @@ func (s *Server) matchMany(tok cancel.Token, waves [][]Query, opts *Options, wor
 	defer s.finishReq(opMatch, -1, &err)
 	results := make([]*Result, len(waves))
 	errs := make([]error, len(waves))
-	budget := workers
-	if budget < 1 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	shardWorkers := 1
-	if s.sh != nil {
-		if outer := clampWorkers(budget, len(waves)); outer > 0 && budget/outer > 1 {
-			shardWorkers = budget / outer
-		}
-	}
+	budget, shardWorkers := s.splitBudget(workers, len(waves))
 	fanOut(len(waves), budget, func(i int) {
 		errs[i] = guard.Safe(func() error {
 			var e error
@@ -651,163 +626,253 @@ func (s *Server) matchMany(tok cancel.Token, waves [][]Query, opts *Options, wor
 	return results, nil
 }
 
-// serve runs one read-only request against a pooled snapshot of the index
-// and, on success, merges the request's accounting into the server totals.
-// The single place that implements the snapshot-per-request discipline:
-// each pool entry owns one snapshot wired to its own counter sink, so
-// concurrent requests never share a sink and a steady-state request
-// allocates no plumbing. The caller times its own validation (it runs
-// before any shared plumbing exists) and passes the duration in; serve
-// traces the remaining stages — scratch/epoch pin, traversal, counter
-// merge — and feeds the op's latency histogram and the slow-query log.
-// The recorded Stats.Elapsed stays the traversal time alone, exactly as
-// before tracing existed.
-func serve[T any](s *Server, op serverOp, validate time.Duration, req func(snap index.ObjectIndex, c *stats.Counters) (T, error)) (T, error) {
+// serve runs one read-only request (Skyline, a session's TopK) against a
+// pooled snapshot — each pool entry owns one snapshot wired to its own
+// counter sink, so a steady-state request allocates no plumbing — and, on
+// success, merges its accounting into the server totals. It traces the
+// stages after the caller's validation (pin, traversal, merge) into the
+// op's histograms and the slow-query log. A request whose context fired
+// before the traversal returned fails, even when the traversal (or a cache
+// hit) completed. The recorded Stats.Elapsed is the traversal time alone.
+func serve[T any](s *Server, op serverOp, tok cancel.Token, validate time.Duration, req func(sc *serveScratch) (T, error)) (T, error) {
 	var tr reqTrace
 	tr.begin(validate)
-	sc := s.acquireScratch()
+	sc := s.getScratch()
+	sc.pin()
+	defer s.releaseScratch(sc)
 	tr.mark(stagePin)
-	out, err := req(sc.snap, &sc.c)
+	out, err := req(sc)
 	tr.mark(stageTraverse)
+	if err == nil {
+		err = tok.Check("serve.emit")
+	}
 	if err != nil {
-		s.releaseScratch(sc)
 		s.om.fail(op)
 		var zero T
 		return zero, err
 	}
-	s.record(&sc.c, tr.stages[stageTraverse])
+	s.recordN(&sc.c, tr.stages[stageTraverse], 1)
 	tr.mark(stageMerge)
 	s.om.finish(op, &tr, &sc.c, 1)
-	s.releaseScratch(sc)
 	return out, nil
+}
+
+// Every top-k request is a batch: validate into the pooled scratch's arena,
+// pin, run one batch search (the searchBatch seam) per chunk of at most
+// batchChunk queries, and emit. TopK and TopKMonotone are batches of one,
+// TopKManyAppend is the flat append form, and TopKMany slices it.
+
+// batchChunk is how many queries one batch search answers: enough that the
+// tree's upper levels are read once for dozens of functions, few enough
+// that chunks still fan out across workers, the blocked scoring kernels
+// stay in cache, and topk.BatchSearcher's usefulness masks stay exact.
+const batchChunk = 64
+
+// searchSnapshot is searchBatch over the scratch's pinned snapshot: one
+// pooled batch searcher walks it once for every function, on the calling
+// goroutine.
+func searchSnapshot(sc *serveScratch, fns []prefs.Preference, k int, tok cancel.Token, _ int) error {
+	sc.ks = sc.ks[:0]
+	for range fns {
+		sc.ks = append(sc.ks, k)
+	}
+	b := topk.AcquireBatchSearcher(sc.snap, fns, sc.ks, &sc.c)
+	defer b.Release()
+	b.SetCancel(tok)
+	if err := b.Run(); err != nil {
+		return err
+	}
+	sc.rbuf, sc.roffs = sc.rbuf[:0], sc.roffs[:0]
+	for i := range fns {
+		sc.roffs = append(sc.roffs, len(sc.rbuf))
+		sc.rbuf = b.AppendResults(i, sc.rbuf)
+	}
+	sc.roffs = append(sc.roffs, len(sc.rbuf))
+	return nil
+}
+
+// searchShards is searchBatch on a sharded server: the composite's batched
+// fan-out across workers shard workers (0 means GOMAXPROCS), each surviving
+// shard walked once for the whole batch.
+func (s *Server) searchShards(sc *serveScratch, fns []prefs.Preference, k int, tok cancel.Token, workers int) error {
+	res, err := s.sh.SearchTopKBatchCancel(fns, k, workers, tok, &sc.c)
+	if err != nil {
+		return err
+	}
+	sc.rbuf, sc.roffs = sc.rbuf[:0], sc.roffs[:0]
+	for _, rs := range res {
+		sc.roffs = append(sc.roffs, len(sc.rbuf))
+		sc.rbuf = append(sc.rbuf, rs...)
+	}
+	sc.roffs = append(sc.roffs, len(sc.rbuf))
+	return nil
+}
+
+// validateBatch validates the linear queries of one top-k request into sc:
+// weights normalised into the arena, *Function views into sc.fns, labels
+// into sc.qids. It runs before any k == 0 short-circuit, so k never changes
+// what is accepted. With join set (TopKMany) every query's error is
+// reported, joined; otherwise the first error is returned.
+func (s *Server) validateBatch(sc *serveScratch, queries []Query, k int, join bool) error {
+	if k < 0 && !join {
+		return fmt.Errorf("prefmatch: negative k %d", k)
+	}
+	var errs []error
+	for _, q := range queries {
+		f, arena, err := appendQuery(sc.arena, q, s.ix.Dim())
+		if k < 0 {
+			err = fmt.Errorf("prefmatch: negative k %d", k)
+		}
+		if err != nil {
+			if !join {
+				return err
+			}
+			errs = append(errs, err)
+			continue
+		}
+		sc.arena = arena
+		sc.fnvals = append(sc.fnvals, f)
+		sc.qids = append(sc.qids, q.ID)
+	}
+	// Box pointers, not values: *Function rides in the interface word, so a
+	// warm scratch builds the whole batch without a single allocation. Taken
+	// only after fnvals stops growing — appends may move the backing array.
+	for i := range sc.fnvals {
+		sc.fns = append(sc.fns, &sc.fnvals[i])
+	}
+	return errors.Join(errs...)
+}
+
+// runBatch answers the functions validated into sc, each wanting its k
+// best, with sc pinned once for the call and one batch search per chunk of
+// at most batchChunk, appending the rankings flat to dst with one offsets
+// entry per query plus a final boundary. Each chunk is traced, recorded
+// (Served advances by its width) and observed under op; validate, the
+// caller's validation time, is observed once, with the first chunk.
+func (s *Server) runBatch(tok cancel.Token, op serverOp, sc *serveScratch, validate time.Duration, k, shardWorkers int, dst []Assignment, offsets []int) ([]Assignment, []int, error) {
+	fns := sc.fns
+	if k == 0 {
+		if validate > 0 {
+			s.om.stages[stageValidate].ObserveDuration(validate)
+		}
+		for range fns {
+			offsets = append(offsets, len(dst))
+		}
+		return dst, append(offsets, len(dst)), nil
+	}
+	var tr reqTrace
+	tr.begin(validate)
+	sc.pin()
+	tr.mark(stagePin)
+	for lo := 0; lo < len(fns); lo += batchChunk {
+		hi := min(lo+batchChunk, len(fns))
+		err := s.searchBatch(sc, fns[lo:hi], k, tok, shardWorkers)
+		tr.mark(stageTraverse)
+		if err == nil {
+			// A read whose context fired during traversal fails, even when
+			// the last node read completed.
+			err = tok.Check("topk.emit")
+		}
+		if err != nil {
+			s.om.fail(op)
+			return dst, offsets, err
+		}
+		for i := lo; i < hi; i++ {
+			offsets = append(offsets, len(dst))
+			for _, r := range sc.rbuf[sc.roffs[i-lo]:sc.roffs[i-lo+1]] {
+				dst = append(dst, Assignment{QueryID: sc.qids[i], ObjectID: int(r.ID), Score: r.Score})
+			}
+		}
+		s.recordN(&sc.c, tr.stages[stageTraverse], hi-lo)
+		tr.mark(stageMerge)
+		s.om.finish(op, &tr, &sc.c, hi-lo)
+		sc.c = stats.Counters{} // the next chunk records only its own work
+		tr.begin(0)
+	}
+	return dst, append(offsets, len(dst)), nil
+}
+
+// resultBuf sizes a buffer for n rankings of k (nil when k is 0).
+func (s *Server) resultBuf(k, n int) []Assignment {
+	if k <= 0 {
+		return nil
+	}
+	return make([]Assignment, 0, n*min(k, s.ix.Len()))
+}
+
+// topKOne is the batch of one behind TopK, TopKMonotone and TopKPref: an
+// admitted request, labelled qid, whose validate puts one function into the
+// scratch, fanned across GOMAXPROCS shard workers on a sharded server. The
+// returned slice is the call's one allocation; k == 0 returns nil.
+func (s *Server) topKOne(tok cancel.Token, qid, k int, validate func(sc *serveScratch) error) (_ []Assignment, err error) {
+	if err := s.admit(tok); err != nil {
+		return nil, err
+	}
+	defer s.exitRequest()
+	defer s.finishReq(opTopK, qid, &err)
+	vstart := time.Now()
+	sc := s.getScratch()
+	defer s.releaseScratch(sc)
+	if err := validate(sc); err != nil {
+		s.om.fail(opTopK)
+		return nil, err
+	}
+	dst, offs, err := s.runBatch(tok, opTopK, sc, time.Since(vstart), k, 0, s.resultBuf(k, 1), sc.offs[:0])
+	sc.offs = offs
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // TopK returns the k best objects for one linear query, best first, without
 // rebuilding the index (compare the package-level TopK, which bulk-loads a
-// throwaway index per call). On a sharded server the request fans out
-// across all CPUs' worth of per-shard snapshot workers. Safe for concurrent
-// use.
+// throwaway index per call). It runs as a batch of one through the same
+// shared-traversal search as TopKMany; on a sharded server the request fans
+// out across all CPUs' worth of per-shard snapshot workers. Safe for
+// concurrent use.
 func (s *Server) TopK(query Query, k int) ([]Assignment, error) {
 	return s.topKReq(cancel.Token{}, query, k)
 }
 
 // topKReq is TopK behind the admission gate.
-func (s *Server) topKReq(tok cancel.Token, query Query, k int) (_ []Assignment, err error) {
-	if err := s.admit(tok); err != nil {
-		return nil, err
-	}
-	defer s.exitRequest()
-	defer s.finishReq(opTopK, query.ID, &err)
-	return s.topK(tok, query, k, 0)
-}
-
-// topK implements TopK with an explicit shard-worker budget: 0 lets a lone
-// request fan out across GOMAXPROCS shard workers, while TopKMany passes 1
-// so the outer per-query fan-out owns the parallelism and requests do not
-// multiply into workers × shards goroutines. The query is validated before
-// the k == 0 short-circuit, so k never changes what is accepted. The caller
-// has already passed the admission gate.
-func (s *Server) topK(tok cancel.Token, query Query, k, shardWorkers int) ([]Assignment, error) {
-	vstart := time.Now()
-	if k < 0 {
-		s.om.fail(opTopK)
-		return nil, fmt.Errorf("prefmatch: negative k %d", k)
-	}
-	f, err := linearPref(query, s.ix.Dim())
-	if err != nil {
-		s.om.fail(opTopK)
-		return nil, err
-	}
-	validate := time.Since(vstart)
-	if k == 0 {
-		return nil, nil
-	}
-	if s.sh != nil {
-		return s.topKSharded(tok, query.ID, f, k, shardWorkers, validate)
-	}
-	return serve(s, opTopK, validate, func(snap index.ObjectIndex, c *stats.Counters) ([]Assignment, error) {
-		return topkOver(snap, query.ID, f, k, tok, c)
+func (s *Server) topKReq(tok cancel.Token, query Query, k int) ([]Assignment, error) {
+	return s.topKOne(tok, query.ID, k, func(sc *serveScratch) error {
+		return s.validateBatch(sc, []Query{query}, k, false)
 	})
 }
 
-// topKSharded answers one top-k request on a sharded index by fanning ranked
-// search across shardWorkers per-shard snapshot workers and merging through
-// the score-ordered heap, with whole-shard MBR pruning. The per-shard
-// counters are merged into one request sink and recorded into the server
-// totals, exactly like any other request. Results are bit-identical to the
-// unsharded path.
-func (s *Server) topKSharded(tok cancel.Token, qid int, p prefs.Preference, k, shardWorkers int, validate time.Duration) ([]Assignment, error) {
-	var tr reqTrace
-	tr.begin(validate)
-	c := &stats.Counters{}
-	results, err := s.sh.SearchTopKCancel(p, k, shardWorkers, tok, c)
-	tr.mark(stageTraverse)
-	if err != nil {
-		s.om.fail(opTopK)
-		return nil, err
-	}
-	s.record(c, tr.stages[stageTraverse])
-	tr.mark(stageMerge)
-	s.om.finish(opTopK, &tr, c, 1)
-	out := make([]Assignment, len(results))
-	for i, r := range results {
-		out[i] = Assignment{QueryID: qid, ObjectID: int(r.ID), Score: r.Score}
-	}
-	return out, nil
-}
-
-// TopKMonotone is TopK for an arbitrary monotone preference.
+// TopKMonotone is TopK for an arbitrary monotone preference: a batch of one
+// on the batch searcher's generic scoring path.
 func (s *Server) TopKMonotone(query PreferenceQuery, k int) ([]Assignment, error) {
 	return s.topKMonotone(cancel.Token{}, query, k)
 }
 
-func (s *Server) topKMonotone(tok cancel.Token, query PreferenceQuery, k int) (_ []Assignment, err error) {
-	if err := s.admit(tok); err != nil {
-		return nil, err
-	}
-	defer s.exitRequest()
-	defer s.finishReq(opTopK, query.ID, &err)
-	vstart := time.Now()
-	if k < 0 {
-		s.om.fail(opTopK)
-		return nil, fmt.Errorf("prefmatch: negative k %d", k)
-	}
-	if query.Preference == nil {
-		s.om.fail(opTopK)
-		return nil, fmt.Errorf("prefmatch: preference query %d is nil", query.ID)
-	}
-	validate := time.Since(vstart)
-	if k == 0 {
-		return nil, nil
-	}
-	if s.sh != nil {
-		return s.topKSharded(tok, query.ID, prefAdapter{p: query.Preference}, k, 0, validate)
-	}
-	return serve(s, opTopK, validate, func(snap index.ObjectIndex, c *stats.Counters) ([]Assignment, error) {
-		return topkOver(snap, query.ID, prefAdapter{p: query.Preference}, k, tok, c)
+func (s *Server) topKMonotone(tok cancel.Token, query PreferenceQuery, k int) ([]Assignment, error) {
+	return s.topKOne(tok, query.ID, k, func(sc *serveScratch) error {
+		if k < 0 {
+			return fmt.Errorf("prefmatch: negative k %d", k)
+		}
+		if query.Preference == nil {
+			return fmt.Errorf("prefmatch: preference query %d is nil", query.ID)
+		}
+		sc.fns = append(sc.fns, prefAdapter{p: query.Preference})
+		sc.qids = append(sc.qids, query.ID)
+		return nil
 	})
 }
 
-// batchChunk is how many queries a batched TopKMany request hands one
-// shared-traversal searcher. Large enough that the tree's upper levels are
-// read once for dozens of functions, small enough that chunks still fan out
-// across workers and the blocked scoring kernels stay in cache.
-const batchChunk = 64
-
 // TopKMany answers independent top-k queries in query order, one result
-// slice per query. The workload of the paper's serving framing: many users,
-// one object set, every user wants their personal ranking — so instead of
-// one ranked descent per query, queries are validated up front, grouped
-// into chunks of at most batchChunk, and each chunk walks the tree once
-// through a shared-traversal batch searcher (topk.BatchSearcher; on a
-// sharded server, sharded.SearchTopKBatch per shard). Results are
-// bit-identical to per-query TopK calls.
+// slice per query — the paper's serving framing: many users, one object
+// set, each wanting a personal ranking. Instead of one descent per query,
+// the queries are validated up front and each chunk of at most batchChunk
+// walks the tree once (on a sharded server, each surviving shard once).
+// Results are bit-identical to per-query TopK calls.
 //
 // Chunks are spread across workers goroutines (0 or negative means
 // GOMAXPROCS). On a sharded server, workers is the total parallelism
-// budget: it is spent on the per-chunk fan-out first, and whatever the
-// chunk count leaves unused goes to each chunk's per-shard fan-out
-// (workers=1 stays fully sequential).
+// budget: the per-chunk fan-out takes what it can use and the rest goes to
+// each chunk's per-shard fan-out (workers=1 stays fully sequential).
 func (s *Server) TopKMany(queries []Query, k, workers int) ([][]Assignment, error) {
 	return s.topKMany(cancel.Token{}, queries, k, workers)
 }
@@ -819,54 +884,35 @@ func (s *Server) topKMany(tok cancel.Token, queries []Query, k, workers int) (_ 
 	defer s.exitRequest()
 	defer s.finishReq(opTopKMany, firstQID(queries), &err)
 	vstart := time.Now()
-	results := make([][]Assignment, len(queries))
-	fns := make([]prefs.Preference, len(queries))
-	errs := make([]error, len(queries))
-	invalid := false
-	for i, q := range queries {
-		if k < 0 {
-			errs[i] = fmt.Errorf("prefmatch: negative k %d", k)
-			invalid = true
-			continue
-		}
-		f, err := linearPref(q, s.ix.Dim())
-		if err != nil {
-			errs[i] = err
-			invalid = true
-			continue
-		}
-		fns[i] = f
-	}
-	if invalid {
+	sc := s.getScratch()
+	defer s.releaseScratch(sc)
+	if err := s.validateBatch(sc, queries, k, true); err != nil {
 		s.om.fail(opTopKMany)
-		return nil, errors.Join(errs...)
+		return nil, err
 	}
-	// Chunks trace themselves concurrently; the call-level validation pass
-	// is observed into the stage histogram here, once.
+	// Chunks trace themselves concurrently; the call's validation is
+	// observed here, once.
 	s.om.stages[stageValidate].ObserveDuration(time.Since(vstart))
-	if k == 0 {
-		return results, nil
-	}
-	budget := workers
-	if budget < 1 {
-		budget = runtime.GOMAXPROCS(0)
-	}
+	results := make([][]Assignment, len(queries))
 	chunks := (len(queries) + batchChunk - 1) / batchChunk
-	shardWorkers := 1
-	if s.sh != nil {
-		if outer := clampWorkers(budget, chunks); outer > 0 && budget/outer > 1 {
-			shardWorkers = budget / outer
-		}
-	}
+	budget, shardWorkers := s.splitBudget(workers, chunks)
 	cerrs := make([]error, chunks)
 	fanOut(chunks, budget, func(ci int) {
 		cerrs[ci] = guard.Safe(func() error {
-			lo := ci * batchChunk
-			hi := lo + batchChunk
-			if hi > len(queries) {
-				hi = len(queries)
+			lo, hi := ci*batchChunk, min((ci+1)*batchChunk, len(queries))
+			csc := s.getScratch()
+			defer s.releaseScratch(csc)
+			csc.fns = append(csc.fns, sc.fns[lo:hi]...)
+			csc.qids = append(csc.qids, sc.qids[lo:hi]...)
+			flat, offs, err := s.runBatch(tok, opTopKMany, csc, 0, k, shardWorkers, s.resultBuf(k, hi-lo), csc.offs[:0])
+			csc.offs = offs
+			if err != nil {
+				return err
 			}
-			return s.topKChunk(tok, queries[lo:hi], fns[lo:hi], results[lo:hi], k, shardWorkers)
+			for i := range hi - lo {
+				results[lo+i] = flat[offs[i]:offs[i+1]:offs[i+1]]
+			}
+			return nil
 		})
 	})
 	if err := errors.Join(cerrs...); err != nil {
@@ -875,82 +921,21 @@ func (s *Server) topKMany(tok cancel.Token, queries []Query, k, workers int) (_ 
 	return results, nil
 }
 
-// topKChunk answers one chunk of pre-validated queries with a single shared
-// traversal, writing each query's assignments into results[i]. On a sharded
-// server the chunk fans across shards batched (each surviving shard walked
-// once for the whole chunk); otherwise it runs a pooled batch searcher over
-// the pooled snapshot.
-func (s *Server) topKChunk(tok cancel.Token, queries []Query, fns []prefs.Preference, results [][]Assignment, k, shardWorkers int) error {
-	var tr reqTrace
-	if s.sh != nil {
-		tr.begin(0)
-		c := &stats.Counters{}
-		res, err := s.sh.SearchTopKBatchCancel(fns, k, shardWorkers, tok, c)
-		tr.mark(stageTraverse)
-		if err != nil {
-			s.om.fail(opTopKMany)
-			return err
-		}
-		for i, rs := range res {
-			out := make([]Assignment, len(rs))
-			for j, r := range rs {
-				out[j] = Assignment{QueryID: queries[i].ID, ObjectID: int(r.ID), Score: r.Score}
-			}
-			results[i] = out
-		}
-		s.recordN(c, tr.stages[stageTraverse], len(queries))
-		tr.mark(stageMerge)
-		s.om.finish(opTopKMany, &tr, c, len(queries))
-		return nil
-	}
-	tr.begin(0)
-	sc := s.acquireScratch()
-	tr.mark(stagePin)
-	defer s.releaseScratch(sc)
-	sc.ks = sc.ks[:0]
-	for range fns {
-		sc.ks = append(sc.ks, k)
-	}
-	b := topk.AcquireBatchSearcher(sc.snap, fns, sc.ks, &sc.c)
-	defer b.Release()
-	b.SetCancel(tok)
-	if err := b.Run(); err != nil {
-		s.om.fail(opTopKMany)
-		return err
-	}
-	for i := range fns {
-		sc.rbuf = b.AppendResults(i, sc.rbuf[:0])
-		out := make([]Assignment, len(sc.rbuf))
-		for j, r := range sc.rbuf {
-			out[j] = Assignment{QueryID: queries[i].ID, ObjectID: int(r.ID), Score: r.Score}
-		}
-		results[i] = out
-	}
-	tr.mark(stageTraverse)
-	s.recordN(&sc.c, tr.stages[stageTraverse], len(queries))
-	tr.mark(stageMerge)
-	s.om.finish(opTopKMany, &tr, &sc.c, len(queries))
-	return nil
-}
-
 // TopKManyAppend is the allocation-free form of TopKMany for callers that
 // recycle their result buffers: all assignments are appended flat to dst,
 // and offsets is appended one entry per query plus a final boundary, so
 // query i's ranking is dst[offsets[base+i]:offsets[base+i+1]] (base being
-// len(offsets) on entry). The whole batch — at most batchChunk queries at a
-// time — shares traversals exactly like TopKMany; query weights are
-// normalised into a pooled arena (prefs.AppendFunction) instead of fresh
-// slices, so a steady-state call over the memory backend performs zero
-// allocations once dst and offsets have grown to capacity. The batch runs
-// on the calling goroutine.
+// len(offsets) on entry). Traversals are shared exactly like TopKMany and
+// query weights are normalised into a pooled arena, so a steady-state call
+// over the memory backend performs zero allocations once dst and offsets
+// have grown to capacity. The batch runs on the calling goroutine.
 func (s *Server) TopKManyAppend(dst []Assignment, offsets []int, queries []Query, k int) ([]Assignment, []int, error) {
 	return s.topKManyAppend(cancel.Token{}, dst, offsets, queries, k)
 }
 
-// topKManyAppend is TopKManyAppend behind the admission gate. The gate and
-// the deferred classifier are both allocation-free (fixed-site defers, an
-// atomic-and-channel admit), so the gated path stays at zero allocations —
-// the CI alloc gate pins this with a MaxInFlight server and a live context.
+// topKManyAppend is TopKManyAppend behind the admission gate, which stays
+// allocation-free (fixed-site defers, an atomic-and-channel admit) — the CI
+// alloc gate pins this with a MaxInFlight server and a live context.
 func (s *Server) topKManyAppend(tok cancel.Token, dst []Assignment, offsets []int, queries []Query, k int) (_ []Assignment, _ []int, err error) {
 	if err := s.admit(tok); err != nil {
 		return dst, offsets, err
@@ -958,107 +943,13 @@ func (s *Server) topKManyAppend(tok cancel.Token, dst []Assignment, offsets []in
 	defer s.exitRequest()
 	defer s.finishReq(opTopKMany, firstQID(queries), &err)
 	vstart := time.Now()
-	if k < 0 {
-		s.om.fail(opTopKMany)
-		return dst, offsets, fmt.Errorf("prefmatch: negative k %d", k)
-	}
-	sc := s.acquireScratch()
+	sc := s.getScratch()
 	defer s.releaseScratch(sc)
-	d := s.ix.Dim()
-	for _, q := range queries {
-		if len(q.Weights) != d {
-			s.om.fail(opTopKMany)
-			return dst, offsets, fmt.Errorf("prefmatch: query %d has %d weights, want %d", q.ID, len(q.Weights), d)
-		}
-		f, arena, err := prefs.AppendFunction(sc.arena, q.ID, q.Weights)
-		if err != nil {
-			s.om.fail(opTopKMany)
-			return dst, offsets, fmt.Errorf("prefmatch: query %d: %w", q.ID, err)
-		}
-		sc.arena = arena
-		sc.fnvals = append(sc.fnvals, f)
-	}
-	// Chunks trace themselves; the call-level validation and function
-	// building pass is observed into the stage histogram here, once.
-	s.om.stages[stageValidate].ObserveDuration(time.Since(vstart))
-	// Box pointers, not values: *Function rides in the interface word, so a
-	// warm scratch builds the whole batch without a single allocation. Taken
-	// only after fnvals stops growing — appends may move the backing array.
-	for i := range sc.fnvals {
-		sc.fns = append(sc.fns, &sc.fnvals[i])
-	}
-	if k == 0 {
-		for range queries {
-			offsets = append(offsets, len(dst))
-		}
-		offsets = append(offsets, len(dst))
-		return dst, offsets, nil
-	}
-	for lo := 0; lo < len(queries); lo += batchChunk {
-		hi := lo + batchChunk
-		if hi > len(queries) {
-			hi = len(queries)
-		}
-		dst, offsets, err = s.topKChunkAppend(tok, dst, offsets, queries[lo:hi], sc.fns[lo:hi], k, sc)
-		if err != nil {
-			return dst, offsets, err
-		}
-	}
-	offsets = append(offsets, len(dst))
-	return dst, offsets, nil
-}
-
-// topKChunkAppend is topKChunk in append form, emitting boundaries instead
-// of per-query slices. It reuses the caller's scratch for everything but
-// the sharded fan-out (which allocates its merge state per call).
-func (s *Server) topKChunkAppend(tok cancel.Token, dst []Assignment, offsets []int, queries []Query, fns []prefs.Preference, k int, sc *serveScratch) ([]Assignment, []int, error) {
-	var tr reqTrace
-	tr.begin(0)
-	if s.sh != nil {
-		c := &stats.Counters{}
-		res, err := s.sh.SearchTopKBatchCancel(fns, k, 1, tok, c)
-		tr.mark(stageTraverse)
-		if err != nil {
-			s.om.fail(opTopKMany)
-			return dst, offsets, err
-		}
-		for i, rs := range res {
-			offsets = append(offsets, len(dst))
-			for _, r := range rs {
-				dst = append(dst, Assignment{QueryID: queries[i].ID, ObjectID: int(r.ID), Score: r.Score})
-			}
-		}
-		s.recordN(c, tr.stages[stageTraverse], len(queries))
-		tr.mark(stageMerge)
-		s.om.finish(opTopKMany, &tr, c, len(queries))
-		return dst, offsets, nil
-	}
-	sc.ks = sc.ks[:0]
-	for range fns {
-		sc.ks = append(sc.ks, k)
-	}
-	b := topk.AcquireBatchSearcher(sc.snap, fns, sc.ks, &sc.c)
-	defer b.Release()
-	b.SetCancel(tok)
-	if err := b.Run(); err != nil {
+	if err := s.validateBatch(sc, queries, k, false); err != nil {
 		s.om.fail(opTopKMany)
 		return dst, offsets, err
 	}
-	for i := range fns {
-		sc.rbuf = b.AppendResults(i, sc.rbuf[:0])
-		offsets = append(offsets, len(dst))
-		for _, r := range sc.rbuf {
-			dst = append(dst, Assignment{QueryID: queries[i].ID, ObjectID: int(r.ID), Score: r.Score})
-		}
-	}
-	tr.mark(stageTraverse)
-	s.recordN(&sc.c, tr.stages[stageTraverse], len(queries))
-	tr.mark(stageMerge)
-	s.om.finish(opTopKMany, &tr, &sc.c, len(queries))
-	// The scratch is shared by every chunk of this call; zero its sink so
-	// the next chunk's recordN does not re-add this chunk's work.
-	sc.c = stats.Counters{}
-	return dst, offsets, nil
+	return s.runBatch(tok, opTopKMany, sc, time.Since(vstart), k, 1, dst, offsets)
 }
 
 // Skyline returns the ascending IDs of the non-dominated objects, computed
@@ -1073,8 +964,8 @@ func (s *Server) skyline(tok cancel.Token) (_ []int, err error) {
 	}
 	defer s.exitRequest()
 	defer s.finishReq(opSkyline, -1, &err)
-	return serve(s, opSkyline, 0, func(snap index.ObjectIndex, c *stats.Counters) ([]int, error) {
-		return skylineOver(snap, tok, c)
+	return serve(s, opSkyline, tok, 0, func(sc *serveScratch) ([]int, error) {
+		return skylineOver(sc.snap, tok, &sc.c)
 	})
 }
 
@@ -1083,8 +974,6 @@ func (s *Server) skyline(tok cancel.Token) (_ []int, err error) {
 // jobs, so no spawned goroutine can be idle from the start. The single
 // place this package interprets worker counts — MatchMany, TopKMany and
 // fanOut all route through it and must not re-derive the rule.
-// (sharded.SearchTopK applies the same rule to its own shard-level
-// workers; the two budgets never nest, see topK.)
 func clampWorkers(workers, jobs int) int {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -1093,6 +982,24 @@ func clampWorkers(workers, jobs int) int {
 		workers = jobs
 	}
 	return workers
+}
+
+// splitBudget splits a parallelism budget (0 or negative means GOMAXPROCS)
+// so an outer fan-out over jobs and each job's per-shard fan-out never
+// multiply into oversubscription: the outer level takes what it can use,
+// the rest goes to each job's shard workers (1 on an unsharded server).
+func (s *Server) splitBudget(workers, jobs int) (budget, shardWorkers int) {
+	budget = workers
+	if budget < 1 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	shardWorkers = 1
+	if s.sh != nil {
+		if outer := clampWorkers(budget, jobs); outer > 0 && budget/outer > 1 {
+			shardWorkers = budget / outer
+		}
+	}
+	return budget, shardWorkers
 }
 
 // fanOut runs jobs 0..n-1 across workers goroutines (normalised by

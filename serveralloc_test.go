@@ -10,6 +10,12 @@ import (
 	"testing"
 
 	"prefmatch"
+	"prefmatch/internal/index"
+	"prefmatch/internal/index/mem"
+	"prefmatch/internal/prefs"
+	"prefmatch/internal/stats"
+	"prefmatch/internal/topk"
+	"prefmatch/internal/vec"
 )
 
 // TestServerTopKManyAppendEqualsTopKMany pins the append form to the
@@ -183,5 +189,86 @@ func TestZeroAllocGatedContextTopKManyAppend(t *testing.T) {
 	}
 	if len(dst) != q*k {
 		t.Fatalf("gated append batch returned %d assignments, want %d", len(dst), q*k)
+	}
+}
+
+// TestSteadyStateServerTopKAllocs pins the batch-of-one TopK to one
+// allocation per call on a memory server: the returned slice. Validation,
+// pinning, the batch search and the emit all run on pooled scratch.
+func TestSteadyStateServerTopKAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (instrumented allocations, sync.Pool drops puts)")
+	}
+	const d, k = 4, 10
+	srv, err := prefmatch.NewServer(serveObjects(5000, d, 84), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := serveQueries(1, d, 85)[0]
+	var (
+		out    []prefmatch.Assignment
+		topErr error
+	)
+	call := func() { out, topErr = srv.TopK(q, k) }
+	for i := 0; i < 5; i++ {
+		call()
+	}
+	if allocs := testing.AllocsPerRun(200, call); allocs > 1 {
+		t.Fatalf("steady-state Server.TopK allocated %v times per call, want <= 1 (the result slice)", allocs)
+	}
+	if topErr != nil || len(out) != k {
+		t.Fatalf("TopK returned %d assignments, err %v", len(out), topErr)
+	}
+}
+
+// TestServerTopKNodeParity pins the node accounting of the batch-of-one
+// TopK: on a memory server each call advances Stats().NodesVisited by
+// exactly the nodes topk.SearchAppend reads over mem.Build of the same
+// items, with the same answer. The benchmark's traced replay compares the
+// two per query and relies on this.
+func TestServerTopKNodeParity(t *testing.T) {
+	const d = 4
+	objs := serveObjects(5000, d, 86)
+	srv, err := prefmatch.NewServer(objs, &prefmatch.Options{Backend: prefmatch.Memory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]index.Item, len(objs))
+	for i, o := range objs {
+		items[i] = index.Item{ID: index.ObjID(o.ID), Point: vec.Point(o.Values)}
+	}
+	ix, err := mem.Build(d, items, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 10, 100} {
+		for _, q := range serveQueries(40, d, 87) {
+			before := srv.Stats().NodesVisited
+			got, err := srv.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := srv.Stats().NodesVisited - before
+			f, err := prefs.NewFunction(q.ID, q.Weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c stats.Counters
+			want, err := topk.SearchAppend(nil, ix, &f, k, &c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nodes != c.NodesVisited {
+				t.Fatalf("k=%d query %d: Server.TopK visited %d nodes, topk.SearchAppend %d", k, q.ID, nodes, c.NodesVisited)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("k=%d query %d: %d results, want %d", k, q.ID, len(got), len(want))
+			}
+			for i, r := range want {
+				if got[i] != (prefmatch.Assignment{QueryID: q.ID, ObjectID: int(r.ID), Score: r.Score}) {
+					t.Fatalf("k=%d query %d rank %d: %v, want %v", k, q.ID, i, got[i], r)
+				}
+			}
+		}
 	}
 }

@@ -186,14 +186,13 @@ func (s *Server) OpenSession(p Preference) (*Session, error) {
 }
 
 func (sess *Session) initLinear(s *Server, q Query) error {
-	f, err := linearPref(q, s.ix.Dim())
+	f, arena, err := appendQuery(sess.warena[:0], q, s.ix.Dim())
 	if err != nil {
 		return err
 	}
 	sess.isLinear = true
 	sess.qid = q.ID
-	sess.warena = append(sess.warena[:0], f.Weights...)
-	sess.fn = prefs.Function{ID: q.ID, Weights: sess.warena}
+	sess.warena, sess.fn = arena, f
 	return nil
 }
 
@@ -266,8 +265,9 @@ func (sess *Session) Close() error {
 	return nil
 }
 
-// topKAppend is the session serving path: one admitted request, traced as
-// op "session_topk", answered by the hit → re-qualify → seeded-walk ladder.
+// topKAppend is the session serving path: one admitted request, served and
+// traced by serve as op "session_topk", answered by the hit → re-qualify →
+// seeded-walk ladder.
 func (sess *Session) topKAppend(tok cancel.Token, dst []Assignment, k int) (_ []Assignment, err error) {
 	s := sess.srv
 	if sess.closed.Load() {
@@ -293,22 +293,13 @@ func (sess *Session) topKAppend(tok cancel.Token, dst []Assignment, k int) (_ []
 	if sess.closed.Load() {
 		return dst, ErrSessionClosed
 	}
-	var tr reqTrace
-	tr.begin(time.Since(vstart))
-	sc := s.acquireScratch()
-	defer s.releaseScratch(sc)
-	tr.mark(stagePin)
-	n0 := len(dst)
-	dst, err = sess.answer(tok, sc, dst, k, snapshotEpoch(sc.snap))
-	tr.mark(stageTraverse)
+	out, err := serve(s, opSessionTopK, tok, time.Since(vstart), func(sc *serveScratch) ([]Assignment, error) {
+		return sess.answer(tok, sc, dst, k, snapshotEpoch(sc.snap))
+	})
 	if err != nil {
-		s.om.fail(opSessionTopK)
-		return dst[:n0], err
+		return dst, err
 	}
-	s.record(&sc.c, tr.stages[stageTraverse])
-	tr.mark(stageMerge)
-	s.om.finish(opSessionTopK, &tr, &sc.c, 1)
-	return dst, nil
+	return out, nil
 }
 
 // snapshotEpoch reads the epoch a pooled snapshot has pinned: rotating

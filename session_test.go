@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -68,79 +69,148 @@ func metricValue(t *testing.T, srv *prefmatch.Server, name string) float64 {
 	return 0
 }
 
-// TestTopKPrefEquivalence pins the unified entry point to the concretely
-// typed ones: a Query routes exactly like TopK, a PreferenceQuery exactly
-// like TopKMonotone, and a bare Preference runs as an anonymous monotone
-// query — bit-for-bit, on single and sharded servers.
+// TestTopKPrefEquivalence pins every top-k entry point to one answer. On
+// mem, dynamic and sharded {1,3,7} servers, for k = 0, a small k and k past
+// the object count, TopK, TopKPref (Query, *Query, context), TopKMonotone
+// and TopKPref over the normalised linear preference, TopKMany[i] and
+// TopKManyAppend agree bit for bit, and a bare Preference runs as an
+// anonymous monotone query. Invalid requests — negative k, bad weights —
+// fail with the same error text from every entry point, whatever k.
 func TestTopKPrefEquivalence(t *testing.T) {
 	const d = 3
-	objs := serveObjects(1200, d, 81)
-	queries := serveQueries(8, d, 82)
-	for _, shards := range []int{0, 3} {
-		srv, err := prefmatch.NewServer(objs, &prefmatch.Options{Shards: shards})
+	objs := serveObjects(500, d, 81)
+	queries := serveQueries(70, d, 82) // TopKMany spans two chunks
+	servers := []struct {
+		name string
+		opts *prefmatch.Options
+	}{
+		{"mem", nil},
+		{"dynamic", &prefmatch.Options{Backend: prefmatch.Dynamic}},
+		{"sharded1", &prefmatch.Options{Shards: 1}},
+		{"sharded3", &prefmatch.Options{Shards: 3}},
+		{"sharded7", &prefmatch.Options{Shards: 7}},
+	}
+	same := func(a, b []prefmatch.Assignment) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].QueryID != b[i].QueryID || a[i].ObjectID != b[i].ObjectID ||
+				math.Float64bits(a[i].Score) != math.Float64bits(b[i].Score) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, sv := range servers {
+		srv, err := prefmatch.NewServer(objs, sv.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range queries {
-			want, err := srv.TopK(q, 7)
+		for _, k := range []int{0, 7, 600} {
+			many, err := srv.TopKMany(queries, k, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := srv.TopKPref(q, 7)
+			flat, offs, err := srv.TopKManyAppend(nil, nil, queries, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d: TopKPref(Query) != TopK", shards)
-			}
-			got, err = srv.TopKPref(&q, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d: TopKPref(*Query) != TopK", shards)
-			}
-			got, err = srv.TopKPrefContext(context.Background(), q, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("shards=%d: TopKPrefContext != TopK", shards)
-			}
-
-			pq := prefmatch.PreferenceQuery{ID: q.ID, Preference: prefmatch.LinearPreference{Weights: q.Weights}}
-			wantM, err := srv.TopKMonotone(pq, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err = srv.TopKPref(pq, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, wantM) {
-				t.Fatalf("shards=%d: TopKPref(PreferenceQuery) != TopKMonotone", shards)
-			}
-			got, err = srv.TopKPref(&pq, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, wantM) {
-				t.Fatalf("shards=%d: TopKPref(*PreferenceQuery) != TopKMonotone", shards)
+			for i, q := range queries {
+				want, err := srv.TopK(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantLen := min(k, len(objs)); len(want) != wantLen {
+					t.Fatalf("%s k=%d: TopK returned %d, want %d", sv.name, k, len(want), wantLen)
+				}
+				// TopKMonotone over the weights normalised exactly like a
+				// Query's, so the raw linear score is bit-identical.
+				sum := 0.0
+				for _, w := range q.Weights {
+					sum += w
+				}
+				norm := make([]float64, len(q.Weights))
+				for j, w := range q.Weights {
+					norm[j] = w / sum
+				}
+				pq := prefmatch.PreferenceQuery{ID: q.ID, Preference: prefmatch.LinearPreference{Weights: norm}}
+				mono, err := srv.TopKMonotone(pq, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				forms := map[string]func() ([]prefmatch.Assignment, error){
+					"TopKPref(Query)":           func() ([]prefmatch.Assignment, error) { return srv.TopKPref(q, k) },
+					"TopKPref(*Query)":          func() ([]prefmatch.Assignment, error) { return srv.TopKPref(&q, k) },
+					"TopKPrefContext":           func() ([]prefmatch.Assignment, error) { return srv.TopKPrefContext(context.Background(), q, k) },
+					"TopKPref(PreferenceQuery)": func() ([]prefmatch.Assignment, error) { return srv.TopKPref(pq, k) },
+					"TopKPref(*PreferenceQuery)": func() ([]prefmatch.Assignment, error) {
+						return srv.TopKPref(&pq, k)
+					},
+					"TopKMonotone":      func() ([]prefmatch.Assignment, error) { return mono, nil },
+					"TopKMany[i]":       func() ([]prefmatch.Assignment, error) { return many[i], nil },
+					"TopKManyAppend[i]": func() ([]prefmatch.Assignment, error) { return flat[offs[i]:offs[i+1]], nil },
+				}
+				for name, form := range forms {
+					got, err := form()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !same(got, want) {
+						t.Fatalf("%s k=%d query %d: %s differs from TopK\ngot  %v\nwant %v", sv.name, k, q.ID, name, got, want)
+					}
+				}
 			}
 
 			// A bare Preference runs as an anonymous monotone query (ID 0).
-			bare := prefmatch.LinearPreference{Weights: q.Weights}
-			wantB, err := srv.TopKMonotone(prefmatch.PreferenceQuery{ID: 0, Preference: bare}, 7)
+			bare := prefmatch.LinearPreference{Weights: queries[0].Weights}
+			wantB, err := srv.TopKMonotone(prefmatch.PreferenceQuery{ID: 0, Preference: bare}, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err = srv.TopKPref(bare, 7)
+			got, err := srv.TopKPref(bare, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, wantB) {
-				t.Fatalf("shards=%d: TopKPref(bare Preference) != anonymous TopKMonotone", shards)
+				t.Fatalf("%s k=%d: TopKPref(bare Preference) != anonymous TopKMonotone", sv.name, k)
 			}
+		}
+
+		// Every entry point rejects the same request with the same text,
+		// and k = 0 never skips validation.
+		errText := func(err error) string {
+			if err == nil {
+				return "<nil>"
+			}
+			return err.Error()
+		}
+		for _, c := range []struct {
+			q    prefmatch.Query
+			k    int
+			want string
+		}{
+			{queries[0], -1, "prefmatch: negative k -1"},
+			{prefmatch.Query{ID: 9, Weights: []float64{0.5, 0.5}}, 3, "prefmatch: query 9 has 2 weights, want 3"},
+			{prefmatch.Query{ID: 9, Weights: []float64{0.5, -1, 0.5}}, 0, "prefmatch: query 9: prefs: negative weight: -1"},
+			{prefmatch.Query{ID: 9, Weights: []float64{0, 0, 0}}, 3, "prefmatch: query 9: prefs: all weights zero"},
+		} {
+			_, e1 := srv.TopK(c.q, c.k)
+			_, e2 := srv.TopKPref(c.q, c.k)
+			_, e3 := srv.TopKMany([]prefmatch.Query{c.q}, c.k, 1)
+			_, _, e4 := srv.TopKManyAppend(nil, nil, []prefmatch.Query{c.q}, c.k)
+			for name, err := range map[string]error{"TopK": e1, "TopKPref": e2, "TopKMany": e3, "TopKManyAppend": e4} {
+				if errText(err) != c.want {
+					t.Fatalf("%s %s(query %d, k=%d): error %q, want %q", sv.name, name, c.q.ID, c.k, errText(err), c.want)
+				}
+			}
+		}
+		pq := prefmatch.PreferenceQuery{ID: 4, Preference: prefmatch.LinearPreference{Weights: []float64{1, 1, 1}}}
+		if _, err := srv.TopKMonotone(pq, -1); errText(err) != "prefmatch: negative k -1" {
+			t.Fatalf("%s TopKMonotone(k=-1): error %q", sv.name, errText(err))
+		}
+		if _, err := srv.TopKMonotone(prefmatch.PreferenceQuery{ID: 4}, 0); errText(err) != "prefmatch: preference query 4 is nil" {
+			t.Fatalf("%s TopKMonotone(nil preference): error %q", sv.name, errText(err))
 		}
 		if _, err := srv.TopKPref(nil, 3); err == nil {
 			t.Fatal("TopKPref(nil) did not error")
