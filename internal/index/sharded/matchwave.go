@@ -375,7 +375,8 @@ type waveSkyline struct {
 
 	maints     []*skyline.Maintainer
 	sinks      []*stats.Counters
-	global     []*skyline.Object
+	global     []*skyline.Object   // admission order
+	dom        skyline.DomSet      // global, for the dominance tests
 	shardOf    map[index.ObjID]int // global member -> owning shard
 	suppressed []suppressedObj
 }
@@ -425,7 +426,9 @@ func (w *waveSkyline) Compute() error {
 // order — a dominator always has a strictly smaller distance, so every
 // candidate's potential blockers (earlier candidates included) are already
 // settled when it is examined. Survivors join the global skyline (and
-// added, when requested); the rest are parked with their witness.
+// added, when requested); the rest are parked with their witness. Any
+// dominating global member is a valid witness: the candidate re-qualifies
+// only once no global member dominates it, whichever one blocked it.
 func (w *waveSkyline) admit(cands []shardObj, added *[]*skyline.Object) {
 	sort.Slice(cands, func(i, j int) bool {
 		di, dj := cands[i].obj.Point.BestCornerDist(), cands[j].obj.Point.BestCornerDist()
@@ -435,27 +438,17 @@ func (w *waveSkyline) admit(cands []shardObj, added *[]*skyline.Object) {
 		return cands[i].obj.ID < cands[j].obj.ID
 	})
 	for _, cd := range cands {
-		if g := w.dominator(cd.obj.Point); g != nil {
+		if g := w.dom.Dominator(cd.obj.Point, w.c); g != nil {
 			w.suppressed = append(w.suppressed, suppressedObj{obj: cd.obj, shard: cd.shard, witness: g.ID})
 			continue
 		}
 		w.shardOf[cd.obj.ID] = cd.shard
 		w.global = append(w.global, cd.obj)
+		w.dom.Insert(cd.obj)
 		if added != nil {
 			*added = append(*added, cd.obj)
 		}
 	}
-}
-
-// dominator returns the first global skyline member dominating p, or nil.
-func (w *waveSkyline) dominator(p vec.Point) *skyline.Object {
-	for _, g := range w.global {
-		w.c.DominanceChecks++
-		if g.Point.Dominates(p) {
-			return g
-		}
-	}
-	return nil
 }
 
 // Remove deletes matched global members, runs the affected shards'
@@ -471,7 +464,7 @@ func (w *waveSkyline) Remove(ids []index.ObjID) ([]*skyline.Object, error) {
 	removedSet := make(map[index.ObjID]bool, len(ids))
 	for _, id := range ids {
 		s, ok := w.shardOf[id]
-		if !ok {
+		if !ok || removedSet[id] {
 			return nil, fmt.Errorf("sharded: object %d is not a global skyline member", id)
 		}
 		if len(perShard[s]) == 0 {
@@ -479,6 +472,8 @@ func (w *waveSkyline) Remove(ids []index.ObjID) ([]*skyline.Object, error) {
 		}
 		perShard[s] = append(perShard[s], id)
 		removedSet[id] = true
+	}
+	for id := range removedSet {
 		delete(w.shardOf, id)
 	}
 
@@ -498,6 +493,7 @@ func (w *waveSkyline) Remove(ids []index.ObjID) ([]*skyline.Object, error) {
 		}
 	}
 	w.global = kept
+	w.dom.Drop(removedSet)
 
 	var cands []shardObj
 	for i, s := range affected {

@@ -16,6 +16,17 @@
 // the constrained traversal of [5] (pruning with the surviving skyline but
 // without plists). All modes produce identical skylines; they differ only in
 // I/O, which is exactly what the ablation benchmarks measure.
+//
+// Every pruning decision — a popped entry, an expanded child, a plist entry
+// being redistributed — asks whether some current skyline member dominates
+// a point. DomSet answers it from a columnar mirror of the skyline sorted by
+// descending coordinate sum, and stops scanning at the first member whose
+// sum is below the point's. That early exit is exact: a dominator is ≥ the
+// point in every coordinate, and floating-point addition in a fixed order
+// is monotone under round-to-nearest, so its computed sum is never smaller.
+// The set returns the dominator with the largest sum, not the one
+// discovered first. Any dominator is a valid plist owner, so the skyline
+// sets, pop order and I/O do not depend on which one it returns.
 package skyline
 
 import (
@@ -74,35 +85,26 @@ type Object struct {
 func (o *Object) PlistLen() int { return len(o.plist) }
 
 // item is a BBS heap element or plist member: either an R-tree node entry or
-// an individual object.
+// an individual object. Only an entry's best point takes part in dominance,
+// so a node keeps its MBR's Hi corner and nothing else; plists copy items
+// around a lot, and the slimmer item halves that traffic.
 type item struct {
-	dist  float64 // L1 distance of the entry's best point to the best corner
-	isObj bool
+	dist  float64          // L1 distance of hi to the best corner
+	hi    vec.Point        // the object's point, or the node MBR's Hi corner
 	id    index.ObjID      // objects
-	point vec.Point        // objects
 	page  pagedfile.PageID // nodes
-	rect  vec.Rect         // nodes
+	isObj bool
 }
 
-// hi returns the best point the item can contain.
-func (it *item) hi() vec.Point {
-	if it.isObj {
-		return it.point
-	}
-	return it.rect.Hi
-}
-
-// rootItem wraps the root page in an item with an unbounded MBR: it can
-// never be dominated and its -Inf key pops it first, so the true root MBR
-// does not need to be known before the first read.
+// rootItem wraps the root page in an item with an unbounded best corner: it
+// can never be dominated and its -Inf key pops it first, so the true root
+// MBR does not need to be known before the first read.
 func rootItem(page pagedfile.PageID, dim int) item {
-	lo := make(vec.Point, dim)
 	hi := make(vec.Point, dim)
 	for i := range hi {
-		lo[i] = math.Inf(-1)
 		hi[i] = math.Inf(1)
 	}
-	return item{dist: math.Inf(-1), page: page, rect: vec.Rect{Lo: lo, Hi: hi}}
+	return item{dist: math.Inf(-1), page: page, hi: hi}
 }
 
 // less orders the BBS heap: ascending distance to the best corner; ties are
@@ -133,6 +135,10 @@ type Maintainer struct {
 	index    map[index.ObjID]int // object ID -> position in sky
 	excluded map[index.ObjID]bool
 	computed bool
+
+	// dom mirrors sky in descending-sum order for the dominance tests; sky
+	// itself keeps discovery order, which SB's loop order depends on.
+	dom DomSet
 
 	// frontier is the reusable BBS heap scratch. Compute and every Remove
 	// mode run one traversal at a time, so a single queue serves all call
@@ -178,8 +184,7 @@ func (m *Maintainer) Computed() bool { return m.computed }
 // Compute runs the initial BBS pass over the whole tree (Algorithm 1,
 // line 4) and records pruned entries into plists.
 func (m *Maintainer) Compute() error {
-	m.sky = m.sky[:0]
-	m.index = map[index.ObjID]int{}
+	m.reset()
 	h := m.heap()
 	if root := m.tree.RootPage(); root != pagedfile.InvalidPage {
 		h.Push(rootItem(root, m.tree.Dim()))
@@ -192,10 +197,18 @@ func (m *Maintainer) Compute() error {
 	return nil
 }
 
+// reset empties the skyline before a traversal from scratch.
+func (m *Maintainer) reset() {
+	m.sky = m.sky[:0]
+	m.index = map[index.ObjID]int{}
+	m.dom.Reset()
+}
+
 // Remove deletes the given objects from the skyline (they have been matched)
 // and restores the skyline of the remaining live objects, per the configured
 // mode. It returns the newly promoted skyline objects so the matcher can
-// refresh its caches. All ids must currently be skyline members.
+// refresh its caches. The ids must be distinct current skyline members;
+// otherwise Remove fails before changing anything.
 func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 	if !m.computed {
 		return nil, fmt.Errorf("skyline: Remove before Compute")
@@ -203,21 +216,23 @@ func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
+	drop := make(map[index.ObjID]bool, len(ids))
+	for _, id := range ids {
+		if _, ok := m.index[id]; !ok {
+			return nil, fmt.Errorf("skyline: object %d is not a skyline member", id)
+		}
+		if drop[id] {
+			return nil, fmt.Errorf("skyline: object %d listed twice", id)
+		}
+		drop[id] = true
+	}
 	m.c.SkylineUpdates++
 	removed := make([]*Object, 0, len(ids))
 	for _, id := range ids {
-		pos, ok := m.index[id]
-		if !ok {
-			return nil, fmt.Errorf("skyline: object %d is not a skyline member", id)
-		}
-		removed = append(removed, m.sky[pos])
+		removed = append(removed, m.sky[m.index[id]])
 		m.excluded[id] = true
 	}
 	// Compact the skyline slice, preserving order.
-	drop := make(map[index.ObjID]bool, len(ids))
-	for _, id := range ids {
-		drop[id] = true
-	}
 	kept := m.sky[:0]
 	for _, s := range m.sky {
 		if !drop[s.ID] {
@@ -225,6 +240,7 @@ func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 		}
 	}
 	m.sky = kept
+	m.dom.Drop(drop)
 	m.index = make(map[index.ObjID]int, len(m.sky))
 	for i, s := range m.sky {
 		m.index[s.ID] = i
@@ -239,7 +255,7 @@ func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 		scand := m.heap()
 		for _, r := range removed {
 			for _, e := range r.plist {
-				if owner := m.dominator(e.hi()); owner != nil {
+				if owner := m.dom.Dominator(e.hi, m.c); owner != nil {
 					owner.plist = append(owner.plist, e)
 				} else {
 					scand.Push(e)
@@ -271,8 +287,7 @@ func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 		for _, s := range m.sky {
 			prev[s.ID] = true
 		}
-		m.sky = m.sky[:0]
-		m.index = map[index.ObjID]int{}
+		m.reset()
 		h := m.heap()
 		if root := m.tree.RootPage(); root != pagedfile.InvalidPage {
 			h.Push(rootItem(root, m.tree.Dim()))
@@ -313,16 +328,17 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 		if it.isObj && known != nil && known[it.id] {
 			continue
 		}
-		if owner := m.dominator(it.hi()); owner != nil {
+		if owner := m.dom.Dominator(it.hi, m.c); owner != nil {
 			if !skipPlist {
 				owner.plist = append(owner.plist, it)
 			}
 			continue
 		}
 		if it.isObj {
-			s := &Object{ID: it.id, Point: it.point, Sum: it.point.Sum()}
+			s := &Object{ID: it.id, Point: it.hi, Sum: it.hi.Sum()}
 			m.index[s.ID] = len(m.sky)
 			m.sky = append(m.sky, s)
+			m.dom.Insert(s)
 			continue
 		}
 		n, err := m.tree.ReadNode(it.page)
@@ -339,12 +355,12 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 				if m.excluded[obj.ID] {
 					continue
 				}
-				child = item{dist: obj.Point.BestCornerDist(), isObj: true, id: obj.ID, point: obj.Point}
+				child = item{dist: obj.Point.BestCornerDist(), isObj: true, id: obj.ID, hi: obj.Point}
 			} else {
 				r := n.Rect(i)
-				child = item{dist: r.BestCornerDist(), page: n.ChildPage(i), rect: r}
+				child = item{dist: r.BestCornerDist(), page: n.ChildPage(i), hi: r.Hi}
 			}
-			if owner := m.dominator(child.hi()); owner != nil {
+			if owner := m.dom.Dominator(child.hi, m.c); owner != nil {
 				if !skipPlist {
 					owner.plist = append(owner.plist, child)
 				}
@@ -376,8 +392,8 @@ func (m *Maintainer) expandFlat(n index.Node, h *pqueue.Queue[item], skipPlist b
 				continue
 			}
 			p := vec.Point(pts[i*d : i*d+d : i*d+d])
-			child := item{dist: p.BestCornerDist(), isObj: true, id: id, point: p}
-			if owner := m.dominator(p); owner != nil {
+			child := item{dist: p.BestCornerDist(), isObj: true, id: id, hi: p}
+			if owner := m.dom.Dominator(p, m.c); owner != nil {
 				if !skipPlist {
 					owner.plist = append(owner.plist, child)
 				}
@@ -391,15 +407,11 @@ func (m *Maintainer) expandFlat(n index.Node, h *pqueue.Queue[item], skipPlist b
 	if !ok {
 		return false
 	}
-	lo, hi := fi.FlatRects()
+	_, hi := fi.FlatRects()
 	for i := 0; i < n.Len(); i++ {
 		hiP := vec.Point(hi[i*d : i*d+d : i*d+d])
-		child := item{
-			dist: hiP.BestCornerDist(),
-			page: n.ChildPage(i),
-			rect: vec.Rect{Lo: vec.Point(lo[i*d : i*d+d : i*d+d]), Hi: hiP},
-		}
-		if owner := m.dominator(hiP); owner != nil {
+		child := item{dist: hiP.BestCornerDist(), page: n.ChildPage(i), hi: hiP}
+		if owner := m.dom.Dominator(hiP, m.c); owner != nil {
 			if !skipPlist {
 				owner.plist = append(owner.plist, child)
 			}
@@ -408,15 +420,4 @@ func (m *Maintainer) expandFlat(n index.Node, h *pqueue.Queue[item], skipPlist b
 		h.Push(child)
 	}
 	return true
-}
-
-// dominator returns the first current skyline object dominating p, or nil.
-func (m *Maintainer) dominator(p vec.Point) *Object {
-	for _, s := range m.sky {
-		m.c.DominanceChecks++
-		if s.Point.Dominates(p) {
-			return s
-		}
-	}
-	return nil
 }

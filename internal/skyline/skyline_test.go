@@ -130,26 +130,172 @@ func TestRemoveBeforeComputeFails(t *testing.T) {
 }
 
 func TestRemoveNonMemberFails(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	tr, items, c := buildTree(t, rng, 100, 2, 0)
-	m := New(tr, MaintainPlist, c)
-	if err := m.Compute(); err != nil {
-		t.Fatal(err)
-	}
-	// Find a non-skyline id.
-	member := map[index.ObjID]bool{}
-	for _, s := range m.Skyline() {
-		member[s.ID] = true
-	}
-	for _, it := range items {
-		if !member[it.ID] {
-			if _, err := m.Remove([]index.ObjID{it.ID}); err == nil {
-				t.Fatal("removing a non-member should fail")
+	for _, mode := range []Mode{MaintainPlist, MaintainRetraverse, MaintainRecompute} {
+		t.Run(mode.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(2))
+			tr, items, c := buildTree(t, rng, 100, 2, 0)
+			m := New(tr, mode, c)
+			if err := m.Compute(); err != nil {
+				t.Fatal(err)
 			}
-			return
+			// Find a non-skyline id.
+			member := map[index.ObjID]bool{}
+			for _, s := range m.Skyline() {
+				member[s.ID] = true
+			}
+			nonMember := index.ObjID(-1)
+			for _, it := range items {
+				if !member[it.ID] {
+					nonMember = it.ID
+					break
+				}
+			}
+			if nonMember < 0 || m.Size() < 2 {
+				t.Skip("all objects on skyline; cannot exercise non-member removal")
+			}
+			first, second := m.Skyline()[0].ID, m.Skyline()[1].ID
+			before := append([]*Object(nil), m.Skyline()...)
+			updates := c.SkylineUpdates
+			// A failed Remove is atomic: a valid member listed before the
+			// bad ID must not be excluded, and nothing else may change.
+			for _, ids := range [][]index.ObjID{
+				{nonMember},
+				{first, nonMember},
+				{first, first},
+			} {
+				if _, err := m.Remove(ids); err == nil {
+					t.Fatalf("Remove(%v) should fail", ids)
+				}
+				got := m.Skyline()
+				if len(got) != len(before) {
+					t.Fatalf("failed Remove(%v) changed the skyline size: %d, want %d", ids, len(got), len(before))
+				}
+				for i := range got {
+					if got[i] != before[i] {
+						t.Fatalf("failed Remove(%v) changed skyline slot %d", ids, i)
+					}
+				}
+				if c.SkylineUpdates != updates {
+					t.Fatalf("failed Remove(%v) counted as an update", ids)
+				}
+			}
+			// The maintainer is still exact: later valid removals leave the
+			// brute-force skyline of what was really removed.
+			excluded := map[index.ObjID]bool{}
+			for _, id := range []index.ObjID{second, first} {
+				if _, err := m.Remove([]index.ObjID{id}); err != nil {
+					t.Fatal(err)
+				}
+				excluded[id] = true
+				want := bruteSkyline(items, excluded)
+				if got := skyIDs(m); !equalIDs(got, want) {
+					t.Fatalf("skyline after removing %d: %v, want %v", id, got, want)
+				}
+			}
+		})
+	}
+}
+
+// The dominance set answers exactly like a linear Dominates scan over its
+// members, across random insert/drop interleavings on a coarse grid (equal
+// sums, duplicate points) and for both object points and MBR Hi corners.
+// Any dominator is a valid answer; the returned one must be a member that
+// really dominates the query, and the set stays in descending-sum order.
+func TestDomSetMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, d := range []int{1, 2, 3, 4} {
+		grid := func() vec.Point {
+			p := make(vec.Point, d)
+			for j := range p {
+				p[j] = domGrid[rng.Intn(len(domGrid))]
+			}
+			return p
+		}
+		var s DomSet
+		members := map[index.ObjID]*Object{}
+		next := index.ObjID(0)
+		c := &stats.Counters{}
+		for step := 0; step < 3000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				p := grid()
+				o := &Object{ID: next, Point: p, Sum: p.Sum()}
+				next++
+				s.Insert(o)
+				members[o.ID] = o
+			case r < 5 && len(members) > 0:
+				gone := map[index.ObjID]bool{}
+				for id := range members {
+					if rng.Intn(3) == 0 {
+						gone[id] = true
+						delete(members, id)
+					}
+				}
+				s.Drop(gone)
+			case r < 6:
+				s.Reset()
+				members = map[index.ObjID]*Object{}
+			default:
+				q := grid()
+				if rng.Intn(2) == 0 {
+					// An MBR's Hi corner: the coordinate-wise max of two points.
+					o := grid()
+					for j := range q {
+						q[j] = max(q[j], o[j])
+					}
+				}
+				want := false
+				for _, o := range members {
+					if o.Point.Dominates(q) {
+						want = true
+						break
+					}
+				}
+				before := c.DominanceChecks
+				got := s.Dominator(q, c)
+				if (got != nil) != want {
+					t.Fatalf("d=%d step %d: Dominator(%v) = %v, linear scan says %v", d, step, q, got, want)
+				}
+				if got != nil && (members[got.ID] != got || !got.Point.Dominates(q)) {
+					t.Fatalf("d=%d step %d: Dominator(%v) returned %v, not a dominating member", d, step, q, got.Point)
+				}
+				if n := c.DominanceChecks - before; n > int64(len(members)) {
+					t.Fatalf("d=%d: %d checks over %d members", d, n, len(members))
+				}
+			}
+			if len(s.objs) != len(members) {
+				t.Fatalf("d=%d step %d: set has %d members, want %d", d, step, len(s.objs), len(members))
+			}
+			for i := 1; i < len(s.sums); i++ {
+				if s.sums[i] > s.sums[i-1] {
+					t.Fatalf("d=%d step %d: sums out of order at %d", d, step, i)
+				}
+			}
+			for i, o := range s.objs {
+				if !equalPoints(s.pts[i*d:(i+1)*d], o.Point) || s.sums[i] != o.Sum {
+					t.Fatalf("d=%d step %d: row %d does not mirror object %d", d, step, i, o.ID)
+				}
+			}
 		}
 	}
-	t.Skip("all objects on skyline; cannot exercise non-member removal")
+}
+
+// domGrid are the coordinates of the dominance-set property test: few
+// enough values for ties and duplicates, and 1e-17, which vanishes when
+// added to a coordinate near 1 — so (1, 1e-17) strictly dominates (1, 0)
+// at an equal computed sum.
+var domGrid = []float64{0, 1e-17, 0.1, 0.2, 0.3, 0.5, 1}
+
+func equalPoints(a []float64, b vec.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // The core maintenance property: repeatedly removing skyline objects (in
@@ -260,7 +406,7 @@ func TestPlistOwnershipInvariant(t *testing.T) {
 		seenObjs := map[index.ObjID]string{}
 		for _, s := range m.Skyline() {
 			for _, e := range s.plist {
-				if !s.Point.Dominates(e.hi()) {
+				if !s.Point.Dominates(e.hi) {
 					t.Fatalf("%s: owner %d does not dominate plist entry", context, s.ID)
 				}
 				if e.isObj {

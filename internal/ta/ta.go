@@ -16,6 +16,13 @@
 // which is a valid and usually much smaller bound, so the scan stops
 // earlier. Both thresholds are implemented; the ablation benchmark compares
 // them.
+//
+// The lists are flat: each entry carries its coefficient and function
+// position, and scoring reads a dim-strided weight slab rather than the
+// functions themselves. Assigned functions are compacted out of the lists
+// before the next search instead of being skipped during it. A skipped
+// entry was never counted as a list access, so TAListAccesses (and every
+// answer) is the same as with lazy skipping.
 package ta
 
 import (
@@ -44,15 +51,19 @@ type listEntry struct {
 	idx int32   // position of f in the function slice
 }
 
-// Lists is the sorted-list index over a function set, with lazy deletion.
-// It is the data structure behind the SB matcher's BestPair module.
+// Lists is the sorted-list index over a function set. It is the data
+// structure behind the SB matcher's BestPair module. Remove marks a
+// function dead; the next ReverseTop1 compacts the dead entries out of the
+// D lists first, so the scan never meets one.
 type Lists struct {
-	fns   []prefs.Function
-	d     int
-	lists [][]listEntry
-	alive []bool
-	live  int
-	c     *stats.Counters
+	d       int
+	weights []float64 // function i's weights are weights[i*d : i*d+d]
+	ids     []int     // function i's ID
+	lists   [][]listEntry
+	alive   []bool
+	live    int
+	dirty   bool // a function was removed since the last compaction
+	c       *stats.Counters
 
 	// TightThreshold selects the paper's T_tight bound (default) over the
 	// naive TA threshold; the ablation benchmark flips it.
@@ -82,8 +93,9 @@ func NewLists(fns []prefs.Function, c *stats.Counters) (*Lists, error) {
 		c = &stats.Counters{}
 	}
 	l := &Lists{
-		fns:            fns,
 		d:              d,
+		weights:        make([]float64, 0, len(fns)*d),
+		ids:            make([]int, len(fns)),
 		lists:          make([][]listEntry, d),
 		alive:          make([]bool, len(fns)),
 		live:           len(fns),
@@ -94,8 +106,10 @@ func NewLists(fns []prefs.Function, c *stats.Counters) (*Lists, error) {
 		lastSeen:       make([]float64, d),
 		dimOrder:       make([]int, d),
 	}
-	for i := range l.alive {
+	for i := range fns {
 		l.alive[i] = true
+		l.weights = append(l.weights, fns[i].Weights...)
+		l.ids[i] = fns[i].ID
 	}
 	for dim := 0; dim < d; dim++ {
 		entries := make([]listEntry, len(fns))
@@ -116,22 +130,16 @@ func NewLists(fns []prefs.Function, c *stats.Counters) (*Lists, error) {
 // Dim returns the dimensionality of the indexed functions.
 func (l *Lists) Dim() int { return l.d }
 
-// Len returns the total number of functions (alive and removed).
-func (l *Lists) Len() int { return len(l.fns) }
-
 // AliveCount returns the number of functions not yet removed.
 func (l *Lists) AliveCount() int { return l.live }
 
 // Alive reports whether function i is still unassigned.
 func (l *Lists) Alive(i int) bool { return l.alive[i] }
 
-// Function returns function i.
-func (l *Lists) Function(i int) prefs.Function { return l.fns[i] }
-
 // Remove marks function i as assigned; it will be skipped by all future
 // searches. Removing twice is an error (the matcher must not double-assign).
 func (l *Lists) Remove(i int) error {
-	if i < 0 || i >= len(l.fns) {
+	if i < 0 || i >= len(l.alive) {
 		return fmt.Errorf("ta: function index %d out of range", i)
 	}
 	if !l.alive[i] {
@@ -139,7 +147,23 @@ func (l *Lists) Remove(i int) error {
 	}
 	l.alive[i] = false
 	l.live--
+	l.dirty = true
 	return nil
+}
+
+// compact drops the removed functions' entries from every list, keeping
+// each list's order.
+func (l *Lists) compact() {
+	for dim, entries := range l.lists {
+		kept := entries[:0]
+		for _, e := range entries {
+			if l.alive[e.idx] {
+				kept = append(kept, e)
+			}
+		}
+		l.lists[dim] = kept
+	}
+	l.dirty = false
 }
 
 // ReverseTop1 returns the index and score of the alive function that scores
@@ -153,49 +177,44 @@ func (l *Lists) ReverseTop1(o vec.Point) (bestIdx int, bestScore float64, ok boo
 	if l.live == 0 {
 		return -1, 0, false
 	}
+	if l.dirty {
+		l.compact()
+	}
 	l.queryID++
 	qid := l.queryID
 	for i := 0; i < l.d; i++ {
 		l.cursors[i] = 0
 		l.lastSeen[i] = 0
-		l.dimOrder[i] = i
 	}
 	// Rank dimensions by descending oᵢ once per query (the β construction).
-	sort.Slice(l.dimOrder, func(a, b int) bool {
-		da, db := l.dimOrder[a], l.dimOrder[b]
-		if o[da] != o[db] {
-			return o[da] > o[db]
-		}
-		return da < db
-	})
+	rankDims(l.dimOrder, o)
 
+	d := l.d
 	bestIdx = -1
-	seen := 0
+	bestID := 0
+	seen, accesses := 0, 0
 	for {
 		progressed := false
-		for dim := 0; dim < l.d; dim++ {
+		for dim := 0; dim < d; dim++ {
 			entries := l.lists[dim]
 			cur := l.cursors[dim]
-			// Advance to the next alive entry in this list.
-			for cur < len(entries) && !l.alive[entries[cur].idx] {
-				cur++
-			}
 			if cur >= len(entries) {
-				l.cursors[dim] = cur
 				continue
 			}
 			e := entries[cur]
 			l.cursors[dim] = cur + 1
 			l.lastSeen[dim] = e.w
-			l.c.TAListAccesses++
+			accesses++
 			progressed = true
 			if l.stamp[e.idx] != qid {
 				l.stamp[e.idx] = qid
 				seen++
-				l.c.ScoreEvals++
-				score := l.fns[e.idx].Score(o)
-				if bestIdx < 0 || prefs.BetterFunc(score, l.fns[e.idx].ID, bestScore, l.fns[bestIdx].ID) {
-					bestIdx, bestScore = int(e.idx), score
+				i := int(e.idx)
+				// vec.Dot accumulates w·o in Function.Score's order, so the
+				// score is bit-identical.
+				score := vec.Dot(l.weights[i*d:i*d+d:i*d+d], o)
+				if bestIdx < 0 || prefs.BetterFunc(score, l.ids[i], bestScore, bestID) {
+					bestIdx, bestScore, bestID = i, score, l.ids[i]
 				}
 			}
 		}
@@ -206,6 +225,8 @@ func (l *Lists) ReverseTop1(o vec.Point) (bestIdx int, bestScore float64, ok boo
 			break
 		}
 	}
+	l.c.TAListAccesses += int64(accesses)
+	l.c.ScoreEvals += int64(seen)
 	return bestIdx, bestScore, true
 }
 
@@ -222,16 +243,35 @@ func (l *Lists) threshold(o vec.Point) float64 {
 	return l.tight(o)
 }
 
-// tight computes T_tight = Σ βᵢ·oᵢ per § IV-A: spend budget B = 1 over the
-// dimensions in descending order of oᵢ with βᵢ = min(B, lᵢ).
-func (l *Lists) tight(o vec.Point) float64 {
+// tight computes T_tight = Σ βᵢ·oᵢ per § IV-A over the query's dimension
+// ranking.
+func (l *Lists) tight(o vec.Point) float64 { return knapsack(l.dimOrder, l.lastSeen, o) }
+
+// rankDims fills order with the dimensions 0..len(order)-1 by descending
+// o[dim], ties to the smaller dimension. D is small, so an insertion sort
+// beats sort.Slice and allocates nothing; the comparison is a strict total
+// order, so the ranking is the same either way.
+func rankDims(order []int, o vec.Point) {
+	for i := range order {
+		j := i
+		for j > 0 && o[order[j-1]] < o[i] {
+			order[j] = order[j-1]
+			j--
+		}
+		order[j] = i
+	}
+}
+
+// knapsack spends budget B = 1 over the dimensions in order with
+// βᵢ = min(B, lastSeenᵢ) and returns Σ βᵢ·oᵢ.
+func knapsack(order []int, lastSeen, o vec.Point) float64 {
 	b := 1.0
 	t := 0.0
-	for _, dim := range l.dimOrder {
+	for _, dim := range order {
 		if b <= 0 {
 			break
 		}
-		beta := l.lastSeen[dim]
+		beta := lastSeen[dim]
 		if beta > b {
 			beta = b
 		}
@@ -247,29 +287,8 @@ func (l *Lists) tight(o vec.Point) float64 {
 // exported for property tests and ablation tooling.
 func TightBound(lastSeen, o vec.Point) float64 {
 	order := make([]int, len(o))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if o[order[a]] != o[order[b]] {
-			return o[order[a]] > o[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	b := 1.0
-	t := 0.0
-	for _, dim := range order {
-		if b <= 0 {
-			break
-		}
-		beta := lastSeen[dim]
-		if beta > b {
-			beta = b
-		}
-		t += beta * o[dim]
-		b -= beta
-	}
-	return t
+	rankDims(order, o)
+	return knapsack(order, lastSeen, o)
 }
 
 // NaiveThreshold exposes the naive bound for tests and ablations.
