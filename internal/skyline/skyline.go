@@ -77,22 +77,25 @@ type Object struct {
 	Point vec.Point
 	Sum   float64 // cached coordinate sum (tie-break key)
 
-	plist []item
+	// The plist is a chain through the maintainer's entry arena, from slot
+	// head to slot tail (both 0 when empty).
+	head, tail int32
+	plen       int
 }
 
 // PlistLen reports the number of entries currently parked under this object
 // (diagnostic / test hook).
-func (o *Object) PlistLen() int { return len(o.plist) }
+func (o *Object) PlistLen() int { return o.plen }
 
 // item is a BBS heap element or plist member: either an R-tree node entry or
 // an individual object. Only an entry's best point takes part in dominance,
-// so a node keeps its MBR's Hi corner and nothing else; plists copy items
-// around a lot, and the slimmer item halves that traffic.
+// so a node keeps its MBR's Hi corner and nothing else.
 type item struct {
 	dist  float64          // L1 distance of hi to the best corner
 	hi    vec.Point        // the object's point, or the node MBR's Hi corner
 	id    index.ObjID      // objects
 	page  pagedfile.PageID // nodes
+	next  int32            // next arena slot of the plist holding this entry, 0 at the end
 	isObj bool
 }
 
@@ -140,6 +143,13 @@ type Maintainer struct {
 	// itself keeps discovery order, which SB's loop order depends on.
 	dom DomSet
 
+	// arena holds every plist entry; slot 0 is a sentinel, so a zero link
+	// ends a list. Parking an entry appends one slot, and redistributing a
+	// removed object's plist relinks its slots to their new owners without
+	// copying them, so a wave's plist traffic allocates only the arena's
+	// growth.
+	arena []item
+
 	// frontier is the reusable BBS heap scratch. Compute and every Remove
 	// mode run one traversal at a time, so a single queue serves all call
 	// sites; Reset keeps the backing array, so repeated waves over the same
@@ -158,9 +168,28 @@ func New(t index.ObjectIndex, mode Mode, c *stats.Counters) *Maintainer {
 		mode:     mode,
 		index:    map[index.ObjID]int{},
 		excluded: map[index.ObjID]bool{},
+		arena:    make([]item, 1),
 	}
 	m.frontier.Init(less)
 	return m
+}
+
+// park appends it to o's plist in a fresh arena slot.
+func (m *Maintainer) park(o *Object, it item) {
+	m.arena = append(m.arena, it)
+	m.link(o, int32(len(m.arena)-1))
+}
+
+// link appends arena slot i to the end of o's plist.
+func (m *Maintainer) link(o *Object, i int32) {
+	m.arena[i].next = 0
+	if o.tail == 0 {
+		o.head = i
+	} else {
+		m.arena[o.tail].next = i
+	}
+	o.tail = i
+	o.plen++
 }
 
 // heap returns the maintainer's scratch queue, emptied and charging to the
@@ -200,8 +229,9 @@ func (m *Maintainer) Compute() error {
 // reset empties the skyline before a traversal from scratch.
 func (m *Maintainer) reset() {
 	m.sky = m.sky[:0]
-	m.index = map[index.ObjID]int{}
+	clear(m.index)
 	m.dom.Reset()
+	m.arena = m.arena[:1]
 }
 
 // Remove deletes the given objects from the skyline (they have been matched)
@@ -241,7 +271,9 @@ func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 	}
 	m.sky = kept
 	m.dom.Drop(drop)
-	m.index = make(map[index.ObjID]int, len(m.sky))
+	for _, id := range ids {
+		delete(m.index, id)
+	}
 	for i, s := range m.sky {
 		m.index[s.ID] = i
 	}
@@ -252,16 +284,19 @@ func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 		// Redistribute the removed objects' plists (§ IV-B): entries
 		// dominated by a survivor move to its plist; the rest — exclusively
 		// dominated by the removed objects — form the candidate heap Scand.
+		// Entries keep their order, and moved ones keep their arena slot.
 		scand := m.heap()
 		for _, r := range removed {
-			for _, e := range r.plist {
-				if owner := m.dom.Dominator(e.hi, m.c); owner != nil {
-					owner.plist = append(owner.plist, e)
+			for i := r.head; i != 0; {
+				next := m.arena[i].next
+				if owner := m.dom.Dominator(m.arena[i].hi, m.c); owner != nil {
+					m.link(owner, i)
 				} else {
-					scand.Push(e)
+					scand.Push(m.arena[i])
 				}
+				i = next
 			}
-			r.plist = nil
+			r.head, r.tail, r.plen = 0, 0, 0
 		}
 		if err := m.run(scand, false, nil); err != nil {
 			return nil, err
@@ -330,7 +365,7 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 		}
 		if owner := m.dom.Dominator(it.hi, m.c); owner != nil {
 			if !skipPlist {
-				owner.plist = append(owner.plist, it)
+				m.park(owner, it)
 			}
 			continue
 		}
@@ -362,7 +397,7 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 			}
 			if owner := m.dom.Dominator(child.hi, m.c); owner != nil {
 				if !skipPlist {
-					owner.plist = append(owner.plist, child)
+					m.park(owner, child)
 				}
 				continue
 			}
@@ -395,7 +430,7 @@ func (m *Maintainer) expandFlat(n index.Node, h *pqueue.Queue[item], skipPlist b
 			child := item{dist: p.BestCornerDist(), isObj: true, id: id, hi: p}
 			if owner := m.dom.Dominator(p, m.c); owner != nil {
 				if !skipPlist {
-					owner.plist = append(owner.plist, child)
+					m.park(owner, child)
 				}
 				continue
 			}
@@ -413,7 +448,7 @@ func (m *Maintainer) expandFlat(n index.Node, h *pqueue.Queue[item], skipPlist b
 		child := item{dist: hiP.BestCornerDist(), page: n.ChildPage(i), hi: hiP}
 		if owner := m.dom.Dominator(hiP, m.c); owner != nil {
 			if !skipPlist {
-				owner.plist = append(owner.plist, child)
+				m.park(owner, child)
 			}
 			continue
 		}

@@ -405,7 +405,10 @@ func TestPlistOwnershipInvariant(t *testing.T) {
 		seenPages := map[int32]string{}
 		seenObjs := map[index.ObjID]string{}
 		for _, s := range m.Skyline() {
-			for _, e := range s.plist {
+			n := 0
+			for i := s.head; i != 0; i = m.arena[i].next {
+				e := m.arena[i]
+				n++
 				if !s.Point.Dominates(e.hi) {
 					t.Fatalf("%s: owner %d does not dominate plist entry", context, s.ID)
 				}
@@ -420,6 +423,9 @@ func TestPlistOwnershipInvariant(t *testing.T) {
 					}
 					seenPages[int32(e.page)] = fmt.Sprint(s.ID)
 				}
+			}
+			if n != s.PlistLen() {
+				t.Fatalf("%s: object %d chains %d plist entries, PlistLen %d", context, s.ID, n, s.PlistLen())
 			}
 		}
 	}
