@@ -7,55 +7,85 @@ import (
 	"testing"
 )
 
-// decodeMatchInput turns fuzz bytes into a small matching instance: byte 0
-// picks D ∈ {2,3,4}, bytes 1 and 2 cap the object and function counts at 64
-// and 16, and the rest are consumed D at a time, objects first. Coordinates
-// are quantised to eighths and weights to {0,1,2,3}, so equal scores, equal
-// sums and duplicate points are common — the inputs where tie-breaking and
-// the skyline's dominance shortcuts can go wrong. ok is false when the bytes
-// do not describe at least one object and one function.
-func decodeMatchInput(data []byte) (objs []Object, qs []Query, ok bool) {
-	if len(data) < 3 {
-		return nil, nil, false
+// fuzzBytes hands out the body of a fuzz input D bytes at a time, as
+// quantised objects and queries. Coordinates are quantised to eighths and
+// weights to {0,1,2,3}, so equal scores, equal sums and duplicate points are
+// common — the inputs where tie-breaking and the skyline's dominance
+// shortcuts can go wrong.
+type fuzzBytes struct {
+	rest []byte
+	d    int
+}
+
+func (r *fuzzBytes) take() ([]byte, bool) {
+	if len(r.rest) < r.d {
+		return nil, false
 	}
-	d := 2 + int(data[0]%3)
-	nObj, nFn := 1+int(data[1]%64), 1+int(data[2]%16)
-	rest := data[3:]
-	take := func() ([]byte, bool) {
-		if len(rest) < d {
-			return nil, false
-		}
-		b := rest[:d]
-		rest = rest[d:]
-		return b, true
+	b := r.rest[:r.d]
+	r.rest = r.rest[r.d:]
+	return b, true
+}
+
+// values decodes the next D bytes as an object's attributes.
+func (r *fuzzBytes) values() ([]float64, bool) {
+	b, ok := r.take()
+	if !ok {
+		return nil, false
 	}
-	for len(objs) < nObj {
-		b, more := take()
-		if !more {
+	vals := make([]float64, r.d)
+	for j, v := range b {
+		vals[j] = float64(v%8) / 7
+	}
+	return vals, true
+}
+
+// objects decodes up to n objects with IDs 0, 1, ...
+func (r *fuzzBytes) objects(n int) []Object {
+	var objs []Object
+	for len(objs) < n {
+		vals, ok := r.values()
+		if !ok {
 			break
-		}
-		vals := make([]float64, d)
-		for j, v := range b {
-			vals[j] = float64(v%8) / 7
 		}
 		objs = append(objs, Object{ID: len(objs), Values: vals})
 	}
-	for len(qs) < nFn {
-		b, more := take()
-		if !more {
+	return objs
+}
+
+// queries decodes up to n queries with IDs 0, 1, ...; an all-zero weight
+// draw puts weight 1 on one attribute.
+func (r *fuzzBytes) queries(n int) []Query {
+	var qs []Query
+	for len(qs) < n {
+		b, ok := r.take()
+		if !ok {
 			break
 		}
-		w := make([]float64, d)
+		w := make([]float64, r.d)
 		sum := 0.0
 		for j, v := range b {
 			w[j] = float64(v % 4)
 			sum += w[j]
 		}
 		if sum == 0 {
-			w[int(b[0])%d] = 1
+			w[int(b[0])%r.d] = 1
 		}
 		qs = append(qs, Query{ID: len(qs), Weights: w})
 	}
+	return qs
+}
+
+// decodeMatchInput turns fuzz bytes into a small matching instance: byte 0
+// picks D ∈ {2,3,4}, bytes 1 and 2 cap the object and function counts at 64
+// and 16, and the rest are consumed D at a time, objects first. ok is false
+// when the bytes do not describe at least one object and one function.
+func decodeMatchInput(data []byte) (objs []Object, qs []Query, ok bool) {
+	if len(data) < 3 {
+		return nil, nil, false
+	}
+	r := &fuzzBytes{rest: data[3:], d: 2 + int(data[0]%3)}
+	objs = r.objects(1 + int(data[1]%64))
+	qs = r.queries(1 + int(data[2]%16))
 	return objs, qs, len(objs) > 0 && len(qs) > 0
 }
 
@@ -108,6 +138,159 @@ func FuzzMatchAlgorithmsAgree(f *testing.F) {
 				want = got
 			} else if got != want {
 				t.Fatalf("%s disagrees with %s:\n got %s\nwant %s", cfg.name, configs[0].name, got, want)
+			}
+		}
+	})
+}
+
+// topKInput is one decoded FuzzTopKAgreesWithOracle instance: the objects
+// every server is built from, the queries, k, and the updates applied to
+// the Dynamic server only.
+type topKInput struct {
+	objs    []Object
+	qs      []Query
+	k       int
+	updates []Object
+}
+
+// decodeTopKInput turns fuzz bytes into a top-k instance: byte 0 picks
+// D ∈ {2,3,4}, bytes 1 and 2 cap the object and query counts at 256 and 80
+// (more than the 64 functions one batch traversal serves), byte 3 picks
+// k ∈ 0..12 and byte 4 caps the updates at 7. The rest is consumed D bytes
+// at a time: objects, then queries, then updates (one byte choosing the
+// object, then D values). ok is false when the bytes do not describe at
+// least one object and one query.
+func decodeTopKInput(data []byte) (in topKInput, ok bool) {
+	if len(data) < 5 {
+		return in, false
+	}
+	r := &fuzzBytes{rest: data[5:], d: 2 + int(data[0]%3)}
+	in.objs = r.objects(1 + int(data[1]))
+	in.qs = r.queries(1 + int(data[2]%80))
+	in.k = int(data[3] % 13)
+	if len(in.objs) == 0 || len(in.qs) == 0 {
+		return in, false
+	}
+	for n := int(data[4] % 8); n > 0 && len(r.rest) > 0; n-- {
+		o := in.objs[int(r.rest[0])%len(in.objs)]
+		r.rest = r.rest[1:]
+		vals, more := r.values()
+		if !more {
+			break
+		}
+		in.updates = append(in.updates, Object{ID: o.ID, Values: vals})
+	}
+	return in, true
+}
+
+// oracleTopK is the brute-force reference for top-k, sharing no code with
+// the index or the search: it normalises the weights as prefs.NewFunction
+// does, scores every object with an ascending-index dot product, and orders
+// by score, then coordinate sum, then ID (the order of topk.Better).
+func oracleTopK(objs []Object, q Query, k int) []Assignment {
+	total := 0.0
+	for _, w := range q.Weights {
+		total += w
+	}
+	type scored struct {
+		id         int
+		score, sum float64
+	}
+	all := make([]scored, len(objs))
+	for i, o := range objs {
+		s := scored{id: o.ID}
+		for j, v := range o.Values {
+			s.score += q.Weights[j] / total * v
+			s.sum += v
+		}
+		all[i] = s
+	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.score != b.score {
+			return a.score > b.score
+		}
+		if a.sum != b.sum {
+			return a.sum > b.sum
+		}
+		return a.id < b.id
+	})
+	out := make([]Assignment, 0, min(k, len(all)))
+	for _, s := range all[:min(k, len(all))] {
+		out = append(out, Assignment{QueryID: q.ID, ObjectID: s.id, Score: s.score})
+	}
+	return out
+}
+
+// sameRanking reports whether two rankings agree entry for entry, scores
+// bit for bit.
+func sameRanking(got, want []Assignment) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i].QueryID != want[i].QueryID || got[i].ObjectID != want[i].ObjectID ||
+			math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzTopKAgreesWithOracle checks batched and single top-k against the
+// brute-force oracle on three serving configurations: Memory, Dynamic after
+// the decoded updates, and Memory split into 3 shards. TopKManyAppend and
+// every query's TopK must match the oracle bit for bit. The seed corpus
+// lives in testdata/fuzz.
+func FuzzTopKAgreesWithOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, ok := decodeTopKInput(data)
+		if !ok {
+			t.Skip()
+		}
+		updated := append([]Object(nil), in.objs...)
+		for _, u := range in.updates {
+			updated[u.ID] = u
+		}
+		configs := []struct {
+			name    string
+			opts    Options
+			updates []Object
+			objs    []Object
+		}{
+			{"memory", Options{Backend: Memory}, nil, in.objs},
+			{"dynamic", Options{Backend: Dynamic}, in.updates, updated},
+			{"memory/3 shards", Options{Backend: Memory, Shards: 3}, nil, in.objs},
+		}
+		for _, cfg := range configs {
+			srv, err := NewServer(in.objs, &cfg.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.name, err)
+			}
+			for _, u := range cfg.updates {
+				if err := srv.Update(u); err != nil {
+					t.Fatalf("%s: update %d: %v", cfg.name, u.ID, err)
+				}
+			}
+			flat, offs, err := srv.TopKManyAppend(nil, nil, in.qs, in.k)
+			if err != nil {
+				t.Fatalf("%s: TopKManyAppend: %v", cfg.name, err)
+			}
+			for i, q := range in.qs {
+				want := oracleTopK(cfg.objs, q, in.k)
+				if got := flat[offs[i]:offs[i+1]]; !sameRanking(got, want) {
+					t.Fatalf("%s: TopKManyAppend query %d (k=%d):\n got %v\nwant %v", cfg.name, i, in.k, got, want)
+				}
+				got, err := srv.TopK(q, in.k)
+				if err != nil {
+					t.Fatalf("%s: TopK query %d: %v", cfg.name, i, err)
+				}
+				if !sameRanking(got, want) {
+					t.Fatalf("%s: TopK query %d (k=%d):\n got %v\nwant %v", cfg.name, i, in.k, got, want)
+				}
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", cfg.name, err)
 			}
 		}
 	})

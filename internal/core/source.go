@@ -55,12 +55,13 @@ type BatchPrimer interface {
 }
 
 // restartSource is the § III-A access pattern: every Best issues a fresh
-// branch-and-bound top-1 search, and Remove physically deletes the object
-// from the tree — exactly the work profile the paper charges to classic
-// Brute Force (and to Chain's object side). Prime batches a refresh wave's
-// top-1 searches into one shared traversal (topk.BatchSearcher); the cache it
-// fills is invalidated wholesale by the next deletion, so a stale answer can
-// never survive a tree mutation.
+// branch-and-bound top-1 search (topk.Top1, a batch searcher of one), and
+// Remove physically deletes the object from the tree — exactly the work
+// profile the paper charges to classic Brute Force (and to Chain's object
+// side). Prime batches a refresh wave's top-1 searches into shared
+// traversals (topk.BatchSearcher); the cache it fills is invalidated
+// wholesale by the next deletion, so a stale answer can never survive a tree
+// mutation.
 type restartSource struct {
 	tree index.ObjectIndex
 	fns  []prefs.Function
@@ -103,11 +104,14 @@ func (s *restartSource) Best(fnIdx int) (Candidate, bool, error) {
 	return Candidate{ObjID: res.ID, Point: res.Point, Sum: res.Point.Sum(), Score: res.Score}, true, nil
 }
 
-// Prime answers a whole refresh wave's top-1 searches with one shared
-// traversal. Each primed answer is bit-identical to the restarted search
-// Best would have issued (the batched searcher's guarantee), so the matcher
-// sees the exact same candidate stream, just with the tree's upper levels
-// read once instead of once per function.
+// Prime answers a whole refresh wave's top-1 searches with one batch
+// search, which walks the tree once per 64 functions. Each primed answer is
+// bit-identical to the restarted search Best would have issued (the batched
+// searcher's guarantee), so the matcher sees the exact same candidate
+// stream, just with the tree's upper levels read once per 64 functions
+// instead of once per function. Each function is scored only against the
+// nodes its own bound still admits, so a wide wave (Brute Force's first,
+// of every function) does not score every node it reads for every function.
 func (s *restartSource) Prime(fnIdxs []int) error {
 	if len(fnIdxs) < 2 {
 		return nil

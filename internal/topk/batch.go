@@ -2,32 +2,47 @@
 // R-tree answers top-k for a whole batch of preference functions. This is the
 // paper's shared-work thesis applied to the serving path — a wave of Q
 // functions used to descend the tree Q times, re-reading the same upper-level
-// nodes Q times; a BatchSearcher reads each needed node once and scores all
-// still-active functions against it with the blocked kernels of internal/vec.
+// nodes Q times; a BatchSearcher reads each needed node once and scores the
+// functions that can still use it with the blocked kernels of internal/vec.
 //
 // The shared frontier holds R-tree nodes only, keyed on the MAXIMUM upper
-// bound over the functions the node can still help; objects are offered
-// directly to the per-function result heaps at leaf expansion. Keys are
-// non-increasing along any root-to-leaf path (an MBR's bound dominates its
-// children's for every monotone preference, and the max of a shrinking set
-// only shrinks), so the frontier pops in descending key order. That ordering
-// makes per-function termination a local test: when the popped key B drops
-// below function f's current k-th best score, no remaining entry can improve
-// f, and f deactivates without closing the traversal; the search ends when
-// every function is done, which is usually long before the frontier drains.
+// bound over the functions the node was useful to when pushed; objects are
+// offered directly to the per-function result heaps at leaf expansion. Keys
+// are non-increasing along any root-to-leaf path (an MBR's bound dominates
+// its children's for every monotone preference, and the max of a shrinking
+// set only shrinks), so the frontier pops in descending key order. That
+// ordering makes per-function termination a local test: when the popped key
+// B drops below function f's current k-th best score, no remaining entry can
+// improve f, and f deactivates without closing the traversal; the search
+// ends when every function is done, which is usually long before the
+// frontier drains.
 //
 // Sharing node reads must not multiply scoring work: a node in the union of
 // Q descents is usually relevant to only a few of the Q functions, and
 // scoring all of them against it would trade Q-fold I/O savings for Q-fold
 // CPU. Each frontier entry therefore carries the bitmask of functions the
-// node was useful to when pushed — a byproduct of the bounds matrix the
-// blocked kernel computes anyway — and expansion scores exactly the masked,
-// still-active subset (a node whose subset has died is popped and dropped
-// unread). Exclusion from the mask is permanent-by-monotonicity: a function
-// whose k-th best already beat the node's bound at push time can only have
-// improved since. Masks are exact for batches up to 64 functions — the
-// serving layer's chunk size — and degrade to "every active function" for
-// wider batches.
+// node was useful to when pushed, and beside it, in a per-searcher slab, each
+// of those functions' own push-time bound — both byproducts of the bounds
+// matrix the blocked kernel computes anyway. At pop, function f is scored
+// against the node only if it is still active and its own bound still passes
+// the push-time test against its current k-th best. The entry's key is the
+// maximum over the mask, so without that re-test every function in the mask
+// would be scored for as long as any one of them kept the node alive. A node
+// no function survives for is dropped unread.
+//
+// The re-test is exact. A subtree's objects score at most f's bound over its
+// MBR, and f's k-th best only rises during the traversal, so a node that
+// fails the test can hold nothing f will keep. The test is non-strict, like
+// the one at push — an object scoring exactly the k-th best can still win on
+// the sum/ID tie-break — so every object of f's final top-k is offered to f.
+// Functions left out of the mask at push time are excluded for the same
+// reason.
+//
+// A mask has one bit per function, so one traversal serves at most 64
+// functions (the serving layer's chunk size). Run walks a wider batch as
+// successive traversals of 64 functions at a time, each with exact masks;
+// the tree's upper levels are then read once per 64 functions rather than
+// once per function.
 //
 // Results are bit-identical to Q independent SearchAppend calls: the kernels
 // accumulate per (function, entry) in ascending coordinate order exactly like
@@ -37,6 +52,7 @@
 package topk
 
 import (
+	"math/bits"
 	"sync"
 
 	"prefmatch/internal/cancel"
@@ -49,17 +65,19 @@ import (
 )
 
 // batchEntry is a shared-frontier entry: an R-tree node keyed on the largest
-// upper bound among the functions the node was useful to at push time, with
-// that useful set carried as a bitmask of batch positions (maskAll for
-// batches wider than 64, where the mask degrades to the active set). Page
-// order breaks ties for determinism.
+// upper bound among the functions the node was useful to at push time. Bit i
+// of mask stands for function lo+i of the current traversal (see walk), and
+// bounds[off:off+popcount(mask)] holds those functions' own push-time bounds
+// in ascending function order. Page order breaks ties for determinism.
 type batchEntry struct {
 	bound float64
 	mask  uint64
 	page  pagedfile.PageID
+	off   int32
 }
 
-const maskAll = ^uint64(0)
+// batchWidth is the most functions one traversal serves: one mask bit each.
+const batchWidth = 64
 
 func batchBetter(a, b batchEntry) bool {
 	if a.bound != b.bound {
@@ -128,8 +146,8 @@ func siftDown(h []batchResult, i int) {
 // allocating. The search is only valid while the underlying tree is not
 // modified.
 //
-// Usage: Reset (or AcquireBatchSearcher), optionally SetSkip, then Run once,
-// then AppendResults per function, then Release.
+// Usage: Reset (or AcquireBatchSearcher), then Run once, then AppendResults
+// per function, then Release.
 type BatchSearcher struct {
 	tree index.ObjectIndex
 	c    *stats.Counters
@@ -141,14 +159,14 @@ type BatchSearcher struct {
 	heaps  [][]batchResult // min-heaps: root is the current k-th best
 	active []bool
 
-	nActive   int
+	lo        int  // first function of the current traversal (mask bit 0)
+	nActive   int  // active functions of the current traversal
 	allLinear bool // every function linear with matching dimensionality
-	wide      bool // more than 64 functions: entry masks degrade to the active set
 	d         int
 
-	// Per-node packed weight rows: rebuilt at each expansion from the popped
-	// entry's mask ∩ active, so the kernels pay only for the functions this
-	// node can still serve.
+	// Per-node packed weight rows: rebuilt at each expansion from the
+	// functions that pass the popped entry's pop-time test, so the kernels
+	// pay only for the functions this node can still serve.
 	wnode   []float64
 	nodeIdx []int
 
@@ -157,8 +175,8 @@ type BatchSearcher struct {
 	sums   []float64
 
 	frontier pqueue.Queue[batchEntry]
+	bounds   []float64 // per-function push-time bounds of the current traversal's entries
 
-	skip   func(index.ObjID) bool
 	cancel cancel.Token // zero Token: never cancels
 }
 
@@ -183,7 +201,6 @@ func (b *BatchSearcher) Reset(t index.ObjectIndex, fns []prefs.Preference, ks []
 	}
 	b.tree, b.c = t, c
 	b.d = t.Dim()
-	b.skip = nil
 	b.cancel = cancel.Token{}
 	b.fns = append(b.fns[:0], fns...)
 	b.ks = append(b.ks[:0], ks...)
@@ -207,36 +224,16 @@ func (b *BatchSearcher) Reset(t index.ObjectIndex, fns []prefs.Preference, ks []
 		b.active = append(b.active, false)
 	}
 	b.active = b.active[:len(fns)]
-	b.nActive = 0
 	for i := range fns {
 		h := b.heaps[i]
 		clear(h[:cap(h)])
 		b.heaps[i] = h[:0]
 		b.active[i] = ks[i] > 0
-		if b.active[i] {
-			b.nActive++
-		}
 	}
-	b.wide = len(fns) > 64
 	b.frontier.Reset()
 	b.frontier.SetCounters(c)
 	c.Top1Searches += int64(len(fns))
-	if b.nActive > 0 {
-		if root := t.RootPage(); root != pagedfile.InvalidPage {
-			root64 := maskAll
-			if !b.wide {
-				root64 = uint64(1)<<uint(len(fns)) - 1
-			}
-			b.frontier.Push(batchEntry{bound: inf, mask: root64, page: root})
-		}
-	}
 }
-
-// SetSkip installs a logical-removal filter: objects for which skip returns
-// true are invisible to every function of the batch. Call between Reset and
-// Run. The incremental matching sources use it to search a tree whose
-// deletions are recorded out of band.
-func (b *BatchSearcher) SetSkip(skip func(index.ObjID) bool) { b.skip = skip }
 
 // SetCancel arms cooperative cancellation for the batch, exactly like
 // Searcher.SetCancel: Run checks the token immediately before every node
@@ -260,7 +257,7 @@ func AcquireBatchSearcher(t index.ObjectIndex, fns []prefs.Preference, ks []int,
 // cannot pin a tree, an arena slab, or a caller's weights) and returns it to
 // the pool.
 func (b *BatchSearcher) Release() {
-	b.tree, b.c, b.skip = nil, nil, nil
+	b.tree, b.c = nil, nil
 	b.cancel = cancel.Token{}
 	clear(b.fns)
 	b.fns = b.fns[:0]
@@ -303,13 +300,16 @@ func (b *BatchSearcher) offer(f int, score, sum float64, id index.ObjID, point v
 }
 
 // selectNode rebuilds nodeIdx (and, for linear batches, the packed weight
-// rows) as the masked still-active subset of the batch — the functions the
-// popped node can still serve. Returns false when the subset is empty, in
-// which case the node need not even be read.
-func (b *BatchSearcher) selectNode(mask uint64) bool {
+// rows) as the functions the popped entry e can still serve: those in its
+// mask that are active and whose own push-time bound still passes useful.
+// Returns false when none does, in which case the node need not even be
+// read.
+func (b *BatchSearcher) selectNode(e batchEntry) bool {
 	b.nodeIdx = b.nodeIdx[:0]
-	for f, a := range b.active {
-		if a && (b.wide || mask&(uint64(1)<<uint(f)) != 0) {
+	run := b.bounds[e.off:]
+	for j, m := 0, e.mask; m != 0; j, m = j+1, m&(m-1) {
+		f := b.lo + bits.TrailingZeros64(m)
+		if b.active[f] && b.useful(f, run[j]) {
 			b.nodeIdx = append(b.nodeIdx, f)
 		}
 	}
@@ -333,10 +333,38 @@ func growF(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// Run executes the shared traversal to completion. After Run returns, the
-// per-function heaps hold each function's top-k; collect them with
-// AppendResults. Run is single-use per Reset.
+// Run executes the shared traversal to completion, one walk per batchWidth
+// functions. After Run returns, the per-function heaps hold each function's
+// top-k; collect them with AppendResults. Run is single-use per Reset.
 func (b *BatchSearcher) Run() error {
+	for lo := 0; lo < len(b.fns); lo += batchWidth {
+		if err := b.walk(lo, min(lo+batchWidth, len(b.fns))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// walk is one shared traversal serving functions [lo, hi), at most
+// batchWidth of them. The root's bounds run holds inf for every active
+// function.
+func (b *BatchSearcher) walk(lo, hi int) error {
+	b.lo, b.nActive = lo, 0
+	b.frontier.Reset()
+	b.bounds = b.bounds[:0]
+	var mask uint64
+	for f := lo; f < hi; f++ {
+		if b.active[f] {
+			mask |= 1 << uint(f-lo)
+			b.bounds = append(b.bounds, inf)
+			b.nActive++
+		}
+	}
+	root := b.tree.RootPage()
+	if mask == 0 || root == pagedfile.InvalidPage {
+		return nil
+	}
+	b.frontier.Push(batchEntry{bound: inf, mask: mask, page: root})
 	for b.nActive > 0 {
 		top, ok := b.frontier.Pop()
 		if !ok {
@@ -345,8 +373,8 @@ func (b *BatchSearcher) Run() error {
 		// The frontier pops in descending key order, so top.bound caps every
 		// remaining entry: any function whose k-th best already beats it is
 		// finished for good.
-		for f, a := range b.active {
-			if a && !b.useful(f, top.bound) {
+		for f := lo; f < hi; f++ {
+			if b.active[f] && !b.useful(f, top.bound) {
 				b.active[f] = false
 				b.nActive--
 			}
@@ -354,10 +382,9 @@ func (b *BatchSearcher) Run() error {
 		if b.nActive == 0 {
 			return nil
 		}
-		if !b.selectNode(top.mask) {
-			// Every function this node was pushed for has since finished;
-			// for the rest it was already useless at push time. Skip the
-			// read entirely.
+		if !b.selectNode(top) {
+			// Every function this node was pushed for has finished or has
+			// since outgrown its own bound here. Skip the read entirely.
 			continue
 		}
 		if err := b.cancel.Check("topk.traverse"); err != nil {
@@ -376,10 +403,34 @@ func (b *BatchSearcher) Run() error {
 	return nil
 }
 
-// expandLinearBatch scores the node's entries for the masked subset of
-// functions (nodeIdx/wnode, built by selectNode) with one blocked kernel
-// call over the backend's flat slabs. It reports false when the node does
-// not expose flat storage (the caller falls back to the generic path).
+// pushChildren pushes each child of internal node n that is useful to at
+// least one selected function. b.scores holds the bounds matrix, row r for
+// function nodeIdx[r], column i for child i of m. Each pushed entry's run of
+// per-function bounds is appended to b.bounds.
+func (b *BatchSearcher) pushChildren(n index.Node, m int) {
+	for i := 0; i < m; i++ {
+		off := len(b.bounds)
+		key := 0.0
+		var mask uint64
+		for r, f := range b.nodeIdx {
+			if bd := b.scores[r*m+i]; b.useful(f, bd) {
+				if mask == 0 || bd > key {
+					key = bd
+				}
+				mask |= 1 << uint(f-b.lo)
+				b.bounds = append(b.bounds, bd)
+			}
+		}
+		if mask != 0 {
+			b.frontier.Push(batchEntry{bound: key, mask: mask, page: n.ChildPage(i), off: int32(off)})
+		}
+	}
+}
+
+// expandLinearBatch scores the node's entries for the selected functions
+// (nodeIdx/wnode, built by selectNode) with one blocked kernel call over the
+// backend's flat slabs. It reports false when the node does not expose flat
+// storage (the caller falls back to the generic path).
 func (b *BatchSearcher) expandLinearBatch(n index.Node) bool {
 	nsel, d := len(b.nodeIdx), b.d
 	if n.Leaf() {
@@ -404,11 +455,7 @@ func (b *BatchSearcher) expandLinearBatch(n index.Node) bool {
 				if h := b.heaps[f]; len(h) == k && h[0].score > sc {
 					continue
 				}
-				id := ids[i]
-				if b.skip != nil && b.skip(id) {
-					continue
-				}
-				b.offer(f, sc, b.sums[i], id, pts[i*d:i*d+d:i*d+d])
+				b.offer(f, sc, b.sums[i], ids[i], pts[i*d:i*d+d:i*d+d])
 			}
 		}
 		return true
@@ -422,68 +469,35 @@ func (b *BatchSearcher) expandLinearBatch(n index.Node) bool {
 	b.scores = growF(b.scores, nsel*m)
 	vec.MBRBoundsBatch(b.wnode, nsel, d, hi, b.scores)
 	b.c.ScoreEvals += int64(nsel * m)
-	for i := 0; i < m; i++ {
-		key, any := 0.0, false
-		var mask uint64
-		for r, f := range b.nodeIdx {
-			if bd := b.scores[r*m+i]; b.useful(f, bd) {
-				if !any || bd > key {
-					key = bd
-				}
-				any = true
-				mask |= uint64(1) << (uint(f) & 63)
-			}
-		}
-		if any {
-			if b.wide {
-				mask = maskAll
-			}
-			b.frontier.Push(batchEntry{bound: key, mask: mask, page: n.ChildPage(i)})
-		}
-	}
+	b.pushChildren(n, m)
 	return true
 }
 
-// expandGeneric scores the node's entries for the masked subset of functions
+// expandGeneric scores the node's entries for the selected functions
 // through the prefs.Preference interface — the path for monotone non-linear
 // preferences, dimension-mismatched batches, and backends without flat
 // storage.
 func (b *BatchSearcher) expandGeneric(n index.Node) {
+	nsel, m := len(b.nodeIdx), n.Len()
+	b.c.ScoreEvals += int64(nsel * m)
 	if n.Leaf() {
-		for i := 0; i < n.Len(); i++ {
+		for i := 0; i < m; i++ {
 			it := n.Object(i)
-			if b.skip != nil && b.skip(it.ID) {
-				continue
-			}
 			sum := it.Point.Sum()
 			for _, f := range b.nodeIdx {
-				b.c.ScoreEvals++
 				b.offer(f, b.fns[f].Score(it.Point), sum, it.ID, it.Point)
 			}
 		}
 		return
 	}
-	for i := 0; i < n.Len(); i++ {
+	b.scores = growF(b.scores, nsel*m)
+	for i := 0; i < m; i++ {
 		r := n.Rect(i)
-		key, any := 0.0, false
-		var mask uint64
-		for _, f := range b.nodeIdx {
-			b.c.ScoreEvals++
-			if bd := b.fns[f].UpperBound(r); b.useful(f, bd) {
-				if !any || bd > key {
-					key = bd
-				}
-				any = true
-				mask |= uint64(1) << (uint(f) & 63)
-			}
-		}
-		if any {
-			if b.wide {
-				mask = maskAll
-			}
-			b.frontier.Push(batchEntry{bound: key, mask: mask, page: n.ChildPage(i)})
+		for j, f := range b.nodeIdx {
+			b.scores[j*m+i] = b.fns[f].UpperBound(r)
 		}
 	}
+	b.pushChildren(n, m)
 }
 
 // Len returns the number of results collected for function f (at most ks[f],

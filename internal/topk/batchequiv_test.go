@@ -2,7 +2,8 @@
 // every backend — memory snapshot (flat fast path), paged (generic nodes),
 // sharded composite snapshot (synthetic root + forwarded flat payloads) — a
 // batch of Q functions with mixed k values must be bit-identical (IDs, order,
-// scores, points) to Q independent SearchAppend calls. Lives outside package
+// scores, points) to Q independent SearchAppend calls, including batches
+// wider than the 64 functions one traversal serves. Lives outside package
 // topk because importing the sharded backend from an in-package test would
 // cycle (sharded itself builds on topk).
 package topk_test
@@ -76,7 +77,7 @@ func TestBatchMatchesIndependentSearchesAllBackends(t *testing.T) {
 		t.Run(be.name, func(t *testing.T) {
 			ix := be.build(t)
 			rng := rand.New(rand.NewSource(22))
-			for _, q := range []int{1, 3, 16} {
+			for _, q := range []int{1, 3, 16, 64, 65, 130} {
 				fns := make([]prefs.Preference, q)
 				ks := make([]int, q)
 				for i := range fns {

@@ -16,8 +16,10 @@
 // Searcher is resettable: Reset rebinds it to a (tree, preference) pair
 // while keeping the frontier's backing array, so a steady-state caller
 // performs zero allocations per query. AcquireSearcher/Release pool
-// searchers across goroutines; Top1, Search and SearchAppend route through
-// the pool. When the preference is a linear prefs.Function and the backend
+// searchers across goroutines; Search and SearchAppend route through the
+// pool. Top1 runs a pooled BatchSearcher of one instead: a bounded search
+// never needs the resumable frontier, and the batch searcher keeps only
+// nodes in it. When the preference is a linear prefs.Function and the backend
 // exposes columnar node storage (index.FlatLeaf / index.FlatInternal — the
 // memory backend does), scoring runs devirtualized over the flat slabs with
 // no per-entry interface dispatch. All paths produce bit-identical results.
@@ -94,9 +96,7 @@ func better(a, b heapItem) bool {
 // Searcher is a resumable incremental ranked search: successive Next calls
 // return objects in exact descending preference order. The search is only
 // valid while the underlying tree is not modified; after an insertion or
-// deletion a new search must be started via Reset (the Brute Force matcher
-// re-issues top-1 searches after every tree deletion for exactly this
-// reason).
+// deletion a new search must be started via Reset.
 //
 // A Searcher is reusable: Reset rebinds it to a new (tree, preference) pair
 // while keeping the frontier's backing array, so steady-state ranked search
@@ -170,8 +170,8 @@ func (s *Searcher) SetCancel(t cancel.Token) { s.cancel = t }
 func (s *Searcher) SetFloor(floor float64) { s.floor = floor }
 
 // searcherPool recycles warmed searchers across queries and goroutines: the
-// serving path (session walks, the matchers' top-1 searches) would
-// otherwise allocate a frontier per query.
+// serving path (session walks, SearchAppend) would otherwise allocate a
+// frontier per query.
 var searcherPool = sync.Pool{New: func() any { return NewSearcher() }}
 
 // AcquireSearcher returns a pooled searcher already Reset for (t, pref, c).
@@ -301,12 +301,18 @@ func (s *Searcher) expandLinear(n index.Node) bool {
 }
 
 // Top1 returns the single best object in t for pref, with ok == false when t
-// is empty.
+// is empty. It runs as a pooled BatchSearcher of one: it reads the same nodes
+// as a Searcher's first Next, but offers leaf objects to a one-slot heap
+// instead of pushing each into the frontier.
 func Top1(t index.ObjectIndex, pref prefs.Preference, c *stats.Counters) (Result, bool, error) {
-	s := AcquireSearcher(t, pref, c)
-	r, ok, err := s.Next()
-	s.Release()
-	return r, ok, err
+	fns, ks := [1]prefs.Preference{pref}, [1]int{1}
+	b := AcquireBatchSearcher(t, fns[:], ks[:], c)
+	defer b.Release()
+	if err := b.Run(); err != nil || b.Len(0) == 0 {
+		return Result{}, false, err
+	}
+	r := b.heaps[0][0]
+	return Result{ID: r.id, Point: r.point, Score: r.score}, true, nil
 }
 
 // Search returns the k best objects in descending preference order (fewer
