@@ -46,18 +46,13 @@ func skylineOver(tree index.ObjectIndex, tok cancel.Token, c *stats.Counters) ([
 // topkOver runs ranked search for a validated preference and k > 0 over a
 // freshly built index, labelling results with the query ID.
 func topkOver(tree index.ObjectIndex, qid int, p prefs.Preference, k int, c *stats.Counters) ([]Assignment, error) {
-	s := topk.AcquireSearcher(tree, p, c)
-	defer s.Release()
-	out := make([]Assignment, 0, k)
-	for len(out) < k {
-		r, ok, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, Assignment{QueryID: qid, ObjectID: int(r.ID), Score: r.Score})
+	rs, err := topk.Search(tree, p, k, c)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Assignment, len(rs))
+	for i, r := range rs {
+		out[i] = Assignment{QueryID: qid, ObjectID: int(r.ID), Score: r.Score}
 	}
 	return out, nil
 }

@@ -2,8 +2,9 @@
 // Every test drives the real serving stack over the faulty wrapper (or a
 // parked dynamic merge) and pins one robustness contract: deadlines fire
 // mid-traversal without leaking pooled searchers, shed requests never
-// touch a snapshot, a panic in one fan-out worker fails only that request,
-// and Close returns within its bound even with a merge parked mid-flight.
+// touch a snapshot, a panic inside one request's traversal fails only that
+// request, and Close returns within its bound even with a merge parked
+// mid-flight.
 // The suite is written to run under -race; CI runs it that way.
 package prefmatch
 
@@ -105,12 +106,11 @@ func newFaultyShardedServer(t *testing.T, n, shards int, opts *Options) (*Server
 	return srv, fixs
 }
 
-// topShard picks the shard whose bounding box scores highest under q. The
-// ranked fan-out visits shards in descending bound order and prunes only a
-// shard whose bound falls strictly below the current k-th score, which no
-// other shard's objects can push above this one's bound — so the top shard
-// is read by every request for q, on any core count, and a fault injected
-// there always fires. The bound is computed through the live index's reads
+// topShard picks the shard whose bounding box scores highest under q. A
+// ranked walk over the composite pops the synthetic root's shard entries in
+// descending bound order, so the top shard is entered first by every
+// request for q, on any core count, and a fault injected there always
+// fires. The bound is computed through the live index's reads
 // (SiteRead), leaving the snapshot counters untouched.
 func topShard(t *testing.T, fixs []*faulty.Index, q Query) int {
 	t.Helper()
@@ -181,12 +181,12 @@ func TestChaosDeadlineOnSlowShard(t *testing.T) {
 		t.Fatalf("Stats.Canceled = %d after a deadline, want >= 1", got)
 	}
 
-	// The pooled searchers the canceled fan-out released must be clean:
+	// The pooled searchers the canceled walk released must be clean:
 	// subsequent requests reuse them and must succeed.
 	fixs[slow].Clear(faulty.SiteRefill)
 	for i := 0; i < 20; i++ {
 		if _, err := srv.TopK(chaosQuery(i), 5); err != nil {
-			t.Fatalf("TopK %d after canceled fan-out: %v", i, err)
+			t.Fatalf("TopK %d after canceled walk: %v", i, err)
 		}
 	}
 }
@@ -263,7 +263,7 @@ func TestChaosCanceledBeforeAdmission(t *testing.T) {
 	}
 }
 
-// A panic injected into one shard's fan-out worker must fail only that
+// A panic injected into one shard's node reads must fail only that
 // request — converted to an error naming the panic — while concurrent and
 // subsequent requests stay healthy and the process stays up.
 func TestChaosPanicIsolatedToRequest(t *testing.T) {

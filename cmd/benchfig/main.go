@@ -431,10 +431,10 @@ func runBatch(sc scale, seed int64) {
 // ranked search over a memory snapshot (the zero-alloc layer, pinned at 0
 // allocs/op by TestZeroAllocSteadyState) up through the public Server
 // surface (which adds the per-request snapshot and the returned assignment
-// slice) and the sharded fan-out. The CI bench smoke step runs this mode so
-// the allocation trajectory is visible on every change; with check set the
-// pooled rows become a regression gate — any allocation on a pooled
-// steady-state path exits non-zero.
+// slice) and a sharded server's composite walk. The CI bench smoke step
+// runs this mode so the allocation trajectory is visible on every change;
+// with check set the pooled rows become a regression gate — any allocation
+// on a pooled steady-state path exits non-zero.
 func runAlloc(sc scale, seed int64, check bool) {
 	const (
 		d = 4
@@ -677,7 +677,7 @@ func runAlloc(sc scale, seed int64, check bool) {
 // cold walk: a session answering the same weights repeatedly (every call a
 // result-cache hit), sessions nudged by 1% and 10% per call (fresh cache
 // keys — served by incremental re-qualification when the rank gaps beat the
-// weight-delta bound, by a floor-seeded walk otherwise), and Server.TopK as
+// weight-delta bound, by a walk otherwise), and Server.TopK as
 // the cold baseline that walks every time. The dataset has a separated head
 // — a dominant cluster with evenly spaced scores — because re-qualification
 // is a rank-gap machine: on uniform data every nudge falls back and the

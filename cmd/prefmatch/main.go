@@ -32,10 +32,10 @@
 //
 // Both match and topk accept -shards N -shard-by spatial|hash|rr to split
 // the object index across N sub-indexes (the sharded composite backend);
-// topk then answers each query shard by shard with MBR-based whole-shard
-// pruning, reported as shardsPruned on stderr. -parallel is the total
-// worker budget: spent across queries first, with any surplus fanned
-// across each query's shards. match additionally accepts -shard-match
+// topk then walks the composite once per chunk of queries, skipping every
+// shard whose bounding box cannot reach an answer (reported as
+// shardsPruned on stderr); -parallel spreads those chunks. match
+// additionally accepts -shard-match
 // (with -shards and -backend memory) to run the matching wave itself
 // shard-parallel: the algorithm's global loop at the merge point, per-shard
 // snapshots searched concurrently, candidate streams pruned by shard MBR.

@@ -3,6 +3,7 @@ package prefmatch
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -409,6 +410,40 @@ func TestTopKMonotoneHelper(t *testing.T) {
 	}
 	if _, err := TopKMonotone(objs, PreferenceQuery{ID: 1}, 3, nil); err == nil {
 		t.Fatal("nil preference accepted")
+	}
+}
+
+// TestTopKHugeK is the regression test for the package-level top-k sizing
+// its output by the caller's k: TopK(objs, q, 1<<40, nil) died with "fatal
+// error: runtime: out of memory", which no recover can catch. A k past the
+// object count must return every object, exactly as k = len(objs) does.
+func TestTopKHugeK(t *testing.T) {
+	objs := demoObjects(50, 3, 13)
+	q := Query{ID: 4, Weights: []float64{1, 2, 3}}
+	pq := PreferenceQuery{ID: 5, Preference: weakest{w: []float64{1, 1, 1}}}
+	wantLin, err := TopK(objs, q, len(objs), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMono, err := TopKMonotone(objs, pq, len(objs), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1 << 40, math.MaxInt} {
+		got, err := TopK(objs, q, k, nil)
+		if err != nil {
+			t.Fatalf("TopK k=%d: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, wantLin) {
+			t.Fatalf("TopK k=%d: %d rows, want the %d of k=len(objs)", k, len(got), len(wantLin))
+		}
+		got, err = TopKMonotone(objs, pq, k, nil)
+		if err != nil {
+			t.Fatalf("TopKMonotone k=%d: %v", k, err)
+		}
+		if !reflect.DeepEqual(got, wantMono) {
+			t.Fatalf("TopKMonotone k=%d: %d rows, want the %d of k=len(objs)", k, len(got), len(wantMono))
+		}
 	}
 }
 

@@ -295,3 +295,153 @@ func FuzzTopKAgreesWithOracle(f *testing.F) {
 		}
 	})
 }
+
+// sessionInput is one decoded FuzzSessionAgreesWithOracle instance: the
+// objects every server is built from, the session's opening weights, the
+// steps that revise it, and k.
+type sessionInput struct {
+	objs    []Object
+	weights []float64
+	steps   []sessionStep
+	k       int
+}
+
+// sessionStep is one revision before a TopK: the session's next raw
+// weights (unchanged for a repeat), and an update that only the Dynamic
+// servers apply.
+type sessionStep struct {
+	weights []float64
+	update  *Object
+}
+
+// decodeSessionInput turns fuzz bytes into a session instance: byte 0
+// picks D ∈ {2,3,4}, bytes 1 and 2 cap the object and step counts at 256
+// and 32, and byte 3 picks k ∈ 0..12. The rest is consumed as objects
+// (D bytes each), the opening weights (D bytes), then steps of one op byte
+// each: op%4 = 0 takes D bytes of fresh quantised weights, 1 nudges weight
+// (op/4)%D by 1e-3 (down when bit 4 is set and the weight allows it, so
+// re-qualification fires), 2 repeats (so the cache hits), and 3 repeats
+// after an update (one byte choosing the object, then D values). ok is
+// false when the bytes do not describe at least one object and the
+// opening weights.
+func decodeSessionInput(data []byte) (in sessionInput, ok bool) {
+	if len(data) < 4 {
+		return in, false
+	}
+	r := &fuzzBytes{rest: data[4:], d: 2 + int(data[0]%3)}
+	in.objs = r.objects(1 + int(data[1]))
+	in.k = int(data[3] % 13)
+	open := r.queries(1)
+	if len(in.objs) == 0 || len(open) == 0 {
+		return in, false
+	}
+	w := open[0].Weights
+	in.weights = w
+	for n := 1 + int(data[2]%32); n > 0 && len(r.rest) > 0; n-- {
+		op := r.rest[0]
+		r.rest = r.rest[1:]
+		step := sessionStep{}
+		switch op % 4 {
+		case 0:
+			qs := r.queries(1)
+			if len(qs) == 0 {
+				return in, true
+			}
+			w = qs[0].Weights
+		case 1:
+			w = append([]float64(nil), w...)
+			j := int(op/4) % r.d
+			if op&16 != 0 && w[j] >= 1e-3 {
+				w[j] -= 1e-3
+			} else {
+				w[j] += 1e-3
+			}
+		case 3:
+			if len(r.rest) == 0 {
+				return in, true
+			}
+			o := in.objs[int(r.rest[0])%len(in.objs)]
+			r.rest = r.rest[1:]
+			vals, more := r.values()
+			if !more {
+				return in, true
+			}
+			step.update = &Object{ID: o.ID, Values: vals}
+		}
+		step.weights = w
+		in.steps = append(in.steps, step)
+	}
+	return in, true
+}
+
+// FuzzSessionAgreesWithOracle checks preference sessions against the
+// brute-force oracle on three serving configurations: Memory, Dynamic with
+// the decoded updates interleaved between steps, and Dynamic split into 3
+// shards with the same updates. After the opening and after every step,
+// Session.TopK and a cold Server.TopK with the session's current weights
+// must both match the oracle over a mirror of the live set, bit for bit,
+// whichever path — cache hit, re-qualification or walk — served the
+// session. The seed corpus lives in testdata/fuzz.
+func FuzzSessionAgreesWithOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, ok := decodeSessionInput(data)
+		if !ok {
+			t.Skip()
+		}
+		configs := []struct {
+			name    string
+			opts    Options
+			updates bool
+		}{
+			{"memory", Options{Backend: Memory}, false},
+			{"dynamic", Options{Backend: Dynamic}, true},
+			{"dynamic/3 shards", Options{Backend: Dynamic, Shards: 3}, true},
+		}
+		for _, cfg := range configs {
+			srv, err := NewServer(in.objs, &cfg.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.name, err)
+			}
+			live := append([]Object(nil), in.objs...)
+			q := Query{ID: 7, Weights: in.weights}
+			sess, err := srv.OpenSession(q)
+			if err != nil {
+				t.Fatalf("%s: OpenSession: %v", cfg.name, err)
+			}
+			check := func(step int) {
+				want := oracleTopK(live, q, in.k)
+				got, err := sess.TopK(in.k)
+				if err != nil {
+					t.Fatalf("%s step %d: Session.TopK: %v", cfg.name, step, err)
+				}
+				if !sameRanking(got, want) {
+					t.Fatalf("%s step %d: Session.TopK (k=%d, weights %v):\n got %v\nwant %v", cfg.name, step, in.k, q.Weights, got, want)
+				}
+				cold, err := srv.TopK(q, in.k)
+				if err != nil {
+					t.Fatalf("%s step %d: TopK: %v", cfg.name, step, err)
+				}
+				if !sameRanking(cold, want) {
+					t.Fatalf("%s step %d: cold TopK (k=%d, weights %v):\n got %v\nwant %v", cfg.name, step, in.k, q.Weights, cold, want)
+				}
+			}
+			check(-1)
+			for i, st := range in.steps {
+				if st.update != nil && cfg.updates {
+					if err := srv.Update(*st.update); err != nil {
+						t.Fatalf("%s step %d: update %d: %v", cfg.name, i, st.update.ID, err)
+					}
+					live[st.update.ID] = *st.update
+				}
+				q.Weights = st.weights
+				if err := sess.Nudge(q.Weights); err != nil {
+					t.Fatalf("%s step %d: Nudge(%v): %v", cfg.name, i, q.Weights, err)
+				}
+				check(i)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", cfg.name, err)
+			}
+		}
+	})
+}

@@ -4,7 +4,8 @@
 //
 // A Token is a two-word value wrapping a context's done channel. The
 // engines (topk.Searcher, topk.BatchSearcher, the matching-wave loop,
-// the sharded fan-out workers) call Check at natural amortization points
+// the sharded matching wave's shard workers) call Check at natural
+// amortization points
 // — immediately before each node read, once per emitted pair, once per
 // stream refill — so a request that has been canceled or has blown its
 // deadline stops within roughly one node expansion instead of running to

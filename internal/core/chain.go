@@ -59,7 +59,7 @@ func newChain(tree index.ObjectIndex, fns []prefs.Function, opts *Options, c *st
 }
 
 func newChainOver(src ObjectSource, fns []prefs.Function, opts *Options, c *stats.Counters) (*chainMatcher, error) {
-	ftree, err := memrtree.New(src.Dim(), opts.ChainFanOut, c)
+	ftree, err := memrtree.New(src.Dim(), 0, c) // 0: memrtree's default fan-out
 	if err != nil {
 		return nil, err
 	}

@@ -89,9 +89,6 @@ type Options struct {
 	// of § IV-A's tight one; ablation only.
 	DisableTightThreshold bool
 
-	// ChainFanOut overrides the function R-tree fan-out used by Chain.
-	ChainFanOut int
-
 	// Capacities optionally assigns a capacity to objects (an object with
 	// capacity k can be matched to k functions — e.g. a room type with k
 	// identical rooms). Objects absent from the map have capacity 1.

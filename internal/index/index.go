@@ -23,9 +23,9 @@
 //   - internal/index/sharded is the composite backend: it partitions the
 //     object set across N sub-indexes of the other families and joins them
 //     under a synthetic root whose entries carry the shard bounding boxes,
-//     so branch-and-bound traversals prune whole shards, and ranked
-//     searches can fan out across shards in parallel. Over dynamic shards
-//     it also routes live writes, with independent per-shard rotation.
+//     so branch-and-bound traversals prune whole shards, and matching waves
+//     can run across shards in parallel. Over dynamic shards it also
+//     routes live writes, with independent per-shard rotation.
 //
 // All backends produce the identical stable matching for every algorithm,
 // because the matchers' tie-breaks depend only on object scores, coordinate

@@ -19,8 +19,7 @@ import (
 	"prefmatch/internal/vec"
 )
 
-// This file is the shard-parallel matching wave: the counterpart of
-// SearchTopKBatch for the full matching engine. The engine's global decision
+// This file is the shard-parallel matching wave. The engine's global decision
 // loop (core.NewWaveMatcher) runs once, at the merge point, with capacities
 // resolved globally; all object-index work is answered by per-shard
 // read-only snapshots processed by a worker pool:
@@ -31,7 +30,7 @@ import (
 //     order of the function's upper bound over the shard MBR, and never
 //     opens a shard whose bound cannot beat the function's current best
 //     head (counted in stats.Counters.ShardsPruned — the same exact
-//     pruning SearchTopKBatch applies per query);
+//     pruning a ranked walk over the synthetic root applies per query);
 //   - SB consumes waveSkyline, which maintains one BBS skyline per shard
 //     (computed and updated concurrently) and merges them: an object is on
 //     the global skyline iff no global member of another shard dominates
@@ -46,7 +45,7 @@ import (
 // stream and each shard charges a private sink, and the sinks are merged
 // in a fixed order when the wave completes. Work-shaped counters
 // (node reads, score evaluations) reflect the per-shard fan-out, not the
-// single combined traversal, exactly as with SearchTopKBatch.
+// single combined traversal.
 
 // errNoSnapshots builds the descriptive error for operations that need
 // per-shard read-only views, naming index.Snapshotter and the offending

@@ -9,7 +9,6 @@ import (
 	"prefmatch/internal/index"
 	"prefmatch/internal/index/mem"
 	"prefmatch/internal/index/paged"
-	"prefmatch/internal/prefs"
 	"prefmatch/internal/stats"
 )
 
@@ -202,7 +201,7 @@ func TestMatchWavePrunedCountsOnlyConsultedFunctions(t *testing.T) {
 }
 
 // TestMatchWaveSnapshotError: paged shards cannot hand out read-only
-// views; the wave (and the ranked fan-out) must say so descriptively,
+// views; the wave must say so descriptively,
 // naming index.Snapshotter and the offending shard — not fail generically.
 func TestMatchWaveSnapshotError(t *testing.T) {
 	items := dataset.Independent(120, 2, 47)
@@ -219,9 +218,6 @@ func TestMatchWaveSnapshotError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "Snapshotter") || !strings.Contains(err.Error(), "shard 0") {
 		t.Fatalf("wave error does not name Snapshotter and the shard: %v", err)
-	}
-	if _, err := pix.SearchTopKBatch([]prefs.Preference{fns[0]}, 3, 2, nil); err == nil || !strings.Contains(err.Error(), "Snapshotter") {
-		t.Fatalf("SearchTopKBatch error does not name Snapshotter: %v", err)
 	}
 }
 

@@ -102,8 +102,9 @@ func TestLiveInsertGrowsRoot(t *testing.T) {
 }
 
 // TestLiveChurnSearchEquivalence churns a sharded-over-dynamic composite
-// and checks ranked fan-out answers stay bit-identical to a from-scratch
-// mem build of the live set — across merges, tombstones and root growth.
+// and checks that a batch walk over a fresh composite snapshot stays
+// bit-identical to a drained Searcher over a from-scratch mem build of the
+// live set — across merges, tombstones and root growth.
 func TestLiveChurnSearchEquivalence(t *testing.T) {
 	const d = 2
 	rng := rand.New(rand.NewSource(43))
@@ -127,17 +128,11 @@ func TestLiveChurnSearchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		snap := ix.Snapshot()
 		for _, f := range fns {
-			want, err := topk.Search(ref, f, 10, &stats.Counters{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch, err := ix.SearchTopKBatch([]prefs.Preference{f}, 10, 2, &stats.Counters{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(batch[0], want) {
-				t.Fatalf("fn %d: batched fan-out diverges from rebuild", f.ID)
+			want := drainTopK(t, ref, f, 10)
+			if got := walkTopK(t, snap, []prefs.Preference{f}, 10, nil)[0]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("fn %d: composite walk diverges from rebuild", f.ID)
 			}
 		}
 	}

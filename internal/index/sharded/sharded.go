@@ -21,12 +21,16 @@
 // shard count and any partitioner (enforced by the cross-shard equivalence
 // tests).
 //
-// Beyond the plain ObjectIndex surface, the composite offers
-// SearchTopKBatch: a ranked fan-out that walks each shard once for a whole
-// batch of preference functions — one read-only snapshot per shard, shards
-// searched concurrently — merges the per-shard results through
-// score-ordered heaps, and skips shards whose MBR upper bound cannot beat
-// the current k-th result (counted in stats.Counters.ShardsPruned).
+// Ranked search therefore needs nothing shard-specific: a top-k walk over a
+// composite snapshot reads the synthetic root, descends into the shards
+// whose MBR bound can still reach the k-th result, and never reads the
+// others. Each snapshot records which shards its walks entered since it was
+// last pinned, and SettleShardReads turns that into per-shard accounting:
+// a shard is searched when a walk read its nodes, and pruned when a walk
+// read the synthetic root but never entered the shard (also counted in
+// stats.Counters.ShardsPruned). ShardLoadAt and QuerySkew report the
+// totals. The shard-parallel matching wave (MatchWave, matchwave.go) keeps
+// its own per-shard streams.
 //
 // # Concurrency
 //
@@ -52,21 +56,14 @@ package sharded
 import (
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"prefmatch/internal/cancel"
 	"prefmatch/internal/index"
 	"prefmatch/internal/index/mem"
 	"prefmatch/internal/obs"
-	"prefmatch/internal/pqueue"
-	"prefmatch/internal/prefs"
 	"prefmatch/internal/stats"
-	"prefmatch/internal/topk"
 	"prefmatch/internal/vec"
 )
 
@@ -203,29 +200,27 @@ type Index struct {
 	byID    map[index.ObjID]int // object -> shard, for write routing
 	size    int
 
-	// loads is per-shard fan-out accounting (atomic, recorded by the ranked
-	// fan-outs without touching mu) — the skew signal the serving layer
-	// exports per shard.
+	// loads is per-shard search accounting (atomic, settled by snapshots
+	// without touching mu) — the skew signal the serving layer exports per
+	// shard.
 	loads []shardLoad
 }
 
-// shardLoad is one shard's live fan-out accounting.
+// shardLoad is one shard's live search accounting.
 type shardLoad struct {
-	queries atomic.Int64 // fan-outs that actually searched this shard
-	pruned  atomic.Int64 // fan-outs that skipped it on the MBR bound
-	nanos   atomic.Int64 // cumulative busy wall clock of those searches
+	queries atomic.Int64 // settled requests whose walks entered this shard
+	pruned  atomic.Int64 // settled requests whose walks skipped it whole
 }
 
-// ShardLoad is a point-in-time copy of one shard's fan-out accounting.
-// Queries counts ranked fan-outs (SearchTopKBatch) that
-// actually searched the shard, Pruned those that skipped it whole on its
-// MBR upper bound, and Busy the cumulative wall clock of the searches. A
-// shard whose Queries run far above the mean is hot — the re-partitioning
-// signal; one that is all Pruned is carrying dead space.
+// ShardLoad is a point-in-time copy of one shard's search accounting, as
+// settled by composite snapshots (SettleShardReads). Queries counts the
+// settled requests whose walks read the shard, Pruned those that read the
+// synthetic root but skipped the shard whole on its MBR bound. A shard
+// whose Queries run far above the mean is hot — the re-partitioning signal;
+// one that is all Pruned is carrying dead space.
 type ShardLoad struct {
 	Queries int64
 	Pruned  int64
-	Busy    time.Duration
 }
 
 var (
@@ -693,33 +688,15 @@ func (ix *Index) SetMergeMetrics(mm *obs.MergeMetrics) {
 	}
 }
 
-// ShardLoads appends a copy of every shard's fan-out accounting to dst, in
-// shard order.
-func (ix *Index) ShardLoads(dst []ShardLoad) []ShardLoad {
-	for i := range ix.loads {
-		l := &ix.loads[i]
-		dst = append(dst, ShardLoad{
-			Queries: l.queries.Load(),
-			Pruned:  l.pruned.Load(),
-			Busy:    time.Duration(l.nanos.Load()),
-		})
-	}
-	return dst
-}
-
-// ShardLoadAt returns shard i's fan-out accounting.
+// ShardLoadAt returns shard i's search accounting.
 func (ix *Index) ShardLoadAt(i int) ShardLoad {
 	l := &ix.loads[i]
-	return ShardLoad{
-		Queries: l.queries.Load(),
-		Pruned:  l.pruned.Load(),
-		Busy:    time.Duration(l.nanos.Load()),
-	}
+	return ShardLoad{Queries: l.queries.Load(), Pruned: l.pruned.Load()}
 }
 
 // QuerySkew reports max/mean over the shards' query counts — 1.0 is a
-// perfectly balanced fan-out, rising values mean pruning (or routing) is
-// concentrating work on few shards. Returns 0 before any fan-out ran.
+// perfectly balanced load, rising values mean pruning (or routing) is
+// concentrating work on few shards. Returns 0 before any search settled.
 func (ix *Index) QuerySkew() float64 {
 	var total, max int64
 	for i := range ix.loads {
@@ -853,7 +830,7 @@ func shardPointsWithin(shard index.ObjectIndex, bound vec.Rect) error {
 // --- Snapshots ---------------------------------------------------------
 
 // CanSnapshot reports whether every shard implements index.Snapshotter —
-// the precondition of Snapshot and SearchTopKBatch. Memory shards qualify; paged
+// the precondition of Snapshot and MatchWave. Memory shards qualify; paged
 // shards do not.
 func (ix *Index) CanSnapshot() bool { return ix.canSnap }
 
@@ -880,18 +857,19 @@ func (ix *Index) Snapshot() index.ObjectIndex {
 	size := ix.size
 	ix.mu.RUnlock()
 	return &snapshot{
-		parent:  ix,
-		dim:     ix.dim,
-		shards:  shards,
-		entries: entries,
-		size:    size,
-		c:       c,
+		parent:   ix,
+		dim:      ix.dim,
+		shards:   shards,
+		entries:  entries,
+		size:     size,
+		c:        c,
+		searched: make([]bool, len(shards)),
 	}
 }
 
 // snapshot is the composite read-only view: per-shard snapshots plus the
 // synthetic-root entries captured at snapshot time, all charging one private
-// sink.
+// sink. Like the sink, the read marks make a view single-goroutine.
 type snapshot struct {
 	parent  *Index
 	dim     int
@@ -899,6 +877,11 @@ type snapshot struct {
 	entries []rootEntry
 	size    int
 	c       *stats.Counters
+
+	// Reads since the last Refresh or SettleShardReads: whether the
+	// synthetic root was read, and, by shard, whether any of its nodes were.
+	rootRead bool
+	searched []bool
 }
 
 var _ index.ObjectIndex = (*snapshot)(nil)
@@ -909,7 +892,9 @@ var _ index.ObjectIndex = (*snapshot)(nil)
 // re-copied, all under the composite read lock so the cut stays consistent.
 // Over shards without Refresh (mem) this is a no-op per shard, which is
 // sound: those shards cannot change while snapshots serve (their freeze
-// contract). Allocation-free: the entries buffer is reused.
+// contract). Allocation-free: the entries buffer is reused. Refresh also
+// drops the shard reads recorded since the last settle, so reads of a
+// request that never settled (a failed one) are not charged to the next.
 func (s *snapshot) Refresh() {
 	s.parent.mu.RLock()
 	for _, sh := range s.shards {
@@ -920,6 +905,31 @@ func (s *snapshot) Refresh() {
 	s.entries = append(s.entries[:0], s.parent.entries...)
 	s.size = s.parent.size
 	s.parent.mu.RUnlock()
+	s.rootRead = false
+	clear(s.searched)
+}
+
+// SettleShardReads charges the shard reads recorded since the last Refresh
+// or settle to the composite's per-shard accounting (ShardLoadAt), then
+// clears them. When the synthetic root was read, every shard listed in it
+// counts once: as searched if a walk read any of its nodes — which a walk
+// reaches only through the shard's root — and otherwise as pruned, which is
+// also added to c.ShardsPruned. A view whose root was not read (a request
+// answered without a walk) settles nothing. Allocation-free.
+func (s *snapshot) SettleShardReads(c *stats.Counters) {
+	if s.rootRead {
+		for _, e := range s.entries {
+			l := &s.parent.loads[e.shard]
+			if s.searched[e.shard] {
+				l.queries.Add(1)
+			} else {
+				l.pruned.Add(1)
+				c.ShardsPruned++
+			}
+		}
+	}
+	s.rootRead = false
+	clear(s.searched)
 }
 
 // Epoch returns the sum of the shard snapshots' pinned epochs — a monotone
@@ -967,7 +977,14 @@ func (s *snapshot) SetCounters(c *stats.Counters) {
 	}
 }
 
+// ReadNode resolves id like Index.ReadNode and records the read for
+// SettleShardReads.
 func (s *snapshot) ReadNode(id index.NodeID) (index.Node, error) {
+	if id == rootID {
+		s.rootRead = true
+	} else if shard, _ := decode(id); shard >= 0 && shard < len(s.searched) {
+		s.searched[shard] = true
+	}
 	return readNode(s.shards, s.entries, id)
 }
 
@@ -984,181 +1001,4 @@ func (s *snapshot) Validate() error {
 		}
 	}
 	return nil
-}
-
-// --- Parallel ranked fan-out -------------------------------------------
-
-// worseFirst orders the fan-out's merge heap worst-result-first, so Peek is
-// always the current k-th best (the pruning threshold).
-func worseFirst(a, b topk.Result) bool { return topk.Better(b, a) }
-
-// SearchTopKBatch answers one ranked top-k query per preference in fns with
-// a single batched pass over the shards: each shard that survives pruning is
-// walked once by a shared-traversal topk.BatchSearcher serving every
-// function still interested in it, instead of once per function. Results are
-// merged per function through worst-first heaps, so out[f] is bit-identical
-// to ranked search for fns[f] over one combined index — same objects, same
-// order.
-//
-// Pruning is per (shard, function): a function with k results already whose
-// k-th beats the shard's upper bound is dropped from that shard's batch
-// (equal bounds are kept — an equal-score object can win the sum/ID
-// tie-break), and a shard no function cares about is skipped entirely
-// (counted in c.ShardsPruned). Shards are visited in descending order of
-// their best bound across the batch so the heaps fill with strong results
-// early. Under workers > 1 the visit order — and therefore the pruning
-// opportunities and counter totals — is nondeterministic, but the returned
-// results are always exact.
-func (ix *Index) SearchTopKBatch(fns []prefs.Preference, k, workers int, c *stats.Counters) ([][]topk.Result, error) {
-	return ix.SearchTopKBatchCancel(fns, k, workers, cancel.Token{}, c)
-}
-
-// SearchTopKBatchCancel is SearchTopKBatch with a cooperative
-// cancellation token: every shard worker checks it before claiming a shard
-// and arms its batch searcher with it, so one observed deadline aborts the
-// whole fan-out — including shards still traversing — with the token's
-// stage-tagged error.
-func (ix *Index) SearchTopKBatchCancel(fns []prefs.Preference, k, workers int, tok cancel.Token, c *stats.Counters) ([][]topk.Result, error) {
-	if c == nil {
-		c = ix.c
-	}
-	if len(fns) == 0 {
-		return nil, nil
-	}
-	out := make([][]topk.Result, len(fns))
-	if k <= 0 {
-		return out, nil
-	}
-	if !ix.canSnap {
-		return nil, ix.errNoSnapshots("batched ranked fan-out")
-	}
-
-	entries := ix.rootEntries()
-	type job struct {
-		shard  int
-		best   float64   // max bound across the batch, for visit order
-		bounds []float64 // per-function upper bound over the shard MBR
-	}
-	jobs := make([]job, len(entries))
-	for i, e := range entries {
-		b := make([]float64, len(fns))
-		best := math.Inf(-1)
-		for f, p := range fns {
-			b[f] = p.UpperBound(e.rect)
-			if b[f] > best {
-				best = b[f]
-			}
-		}
-		jobs[i] = job{shard: e.shard, best: best, bounds: b}
-	}
-	sort.Slice(jobs, func(i, j int) bool {
-		if jobs[i].best != jobs[j].best {
-			return jobs[i].best > jobs[j].best
-		}
-		return jobs[i].shard < jobs[j].shard
-	})
-
-	// One worst-first heap per function guards the global k-th score; all
-	// heap access is under mu.
-	var mu sync.Mutex
-	heaps := make([]pqueue.Queue[topk.Result], len(fns))
-	for f := range heaps {
-		heaps[f].Init(worseFirst)
-	}
-
-	sinks := make([]*stats.Counters, len(jobs))
-	runShard := func(j int) error {
-		if err := tok.Check("shard.fanout"); err != nil {
-			return err
-		}
-		sink := &stats.Counters{}
-		sinks[j] = sink
-		// Per-function shard pruning: a full heap whose k-th score is
-		// strictly above the shard's bound means this shard holds nothing
-		// for that function. A bound *equal* to the k-th score must still
-		// be searched — an equal-score object can win on the sum/ID
-		// tie-break.
-		var (
-			sub    []prefs.Preference
-			subIdx []int
-		)
-		mu.Lock()
-		for f, p := range fns {
-			if heaps[f].Len() == k {
-				if worst, _ := heaps[f].Peek(); jobs[j].bounds[f] < worst.Score {
-					continue
-				}
-			}
-			sub = append(sub, p)
-			subIdx = append(subIdx, f)
-		}
-		mu.Unlock()
-		if len(sub) == 0 {
-			sink.ShardsPruned++
-			ix.loads[jobs[j].shard].pruned.Add(1)
-			return nil
-		}
-		load := &ix.loads[jobs[j].shard]
-		load.queries.Add(1)
-		searchStart := time.Now()
-		defer func() { load.nanos.Add(int64(time.Since(searchStart))) }()
-		ks := make([]int, len(sub))
-		for i := range ks {
-			ks[i] = k
-		}
-		snap := ix.shards[jobs[j].shard].(index.Snapshotter).Snapshot()
-		snap.SetCounters(sink)
-		b := topk.AcquireBatchSearcher(snap, sub, ks, sink)
-		b.SetCancel(tok)
-		defer b.Release()
-		if err := b.Run(); err != nil {
-			return err
-		}
-		// Merge each function's shard-local top-k; the batch searcher
-		// already capped every contribution at k, best first.
-		var buf []topk.Result
-		for pos, f := range subIdx {
-			buf = b.AppendResults(pos, buf[:0])
-			mu.Lock()
-			for _, r := range buf {
-				if heaps[f].Len() < k {
-					heaps[f].Push(r)
-					continue
-				}
-				worst, _ := heaps[f].Peek()
-				if !topk.Better(r, worst) {
-					// Contributions arrive best first, so nothing later
-					// from this shard can displace the k-th either.
-					break
-				}
-				heaps[f].Pop()
-				heaps[f].Push(r)
-			}
-			mu.Unlock()
-		}
-		return nil
-	}
-
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	err := fanIndexed(len(jobs), workers, runShard)
-
-	for _, sink := range sinks {
-		if sink != nil {
-			c.Add(sink)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	for f := range fns {
-		res := make([]topk.Result, heaps[f].Len())
-		for i := heaps[f].Len() - 1; i >= 0; i-- {
-			r, _ := heaps[f].Pop()
-			res[i] = r
-		}
-		out[f] = res
-	}
-	return out, nil
 }

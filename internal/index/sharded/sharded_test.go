@@ -250,9 +250,50 @@ func TestCompositeSnapshot(t *testing.T) {
 	pix.Snapshot()
 }
 
-// TestSearchTopKEquivalence: the fan-out/merge answer for one function must
-// be bit-identical to ranked search over one combined memory index, for
-// every partitioner, shard count, k and worker count.
+// walkTopK answers fns, each wanting its k best, with one batch walk over
+// tree — the serving path's ranked search over a composite snapshot —
+// charging c (nil: the tree's sink).
+func walkTopK(t *testing.T, tree index.ObjectIndex, fns []prefs.Preference, k int, c *stats.Counters) [][]topk.Result {
+	t.Helper()
+	ks := make([]int, len(fns))
+	for i := range ks {
+		ks[i] = k
+	}
+	b := topk.AcquireBatchSearcher(tree, fns, ks, c)
+	defer b.Release()
+	if err := b.Run(); err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]topk.Result, len(fns))
+	for f := range fns {
+		out[f] = b.AppendResults(f, nil)
+	}
+	return out
+}
+
+// drainTopK is the reference answer: a resumable Searcher over tree drained
+// k deep — the other ranked-search engine.
+func drainTopK(t *testing.T, tree index.ObjectIndex, f prefs.Preference, k int) []topk.Result {
+	t.Helper()
+	s := topk.AcquireSearcher(tree, f, &stats.Counters{})
+	defer s.Release()
+	var out []topk.Result
+	for len(out) < k {
+		r, ok, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestSearchTopKEquivalence: a batch walk of one over a composite snapshot
+// must be bit-identical to a drained Searcher over one combined memory
+// index, for every partitioner, shard count and k.
 func TestSearchTopKEquivalence(t *testing.T) {
 	const d = 3
 	items := dataset.Clustered(900, d, 6, 17)
@@ -267,25 +308,14 @@ func TestSearchTopKEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			snap := ix.Snapshot()
 			for _, k := range []int{1, 5, 950} {
-				for _, workers := range []int{1, 4} {
-					for _, f := range fns {
-						want, err := topk.Search(single, f, k, &stats.Counters{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						out, err := ix.SearchTopKBatch([]prefs.Preference{f}, k, workers, &stats.Counters{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := out[0]
-						if len(want) == 0 {
-							want = nil
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s/%d k=%d w=%d fn=%d: fan-out differs from single index\ngot  %v\nwant %v",
-								p.Name(), n, k, workers, f.ID, got, want)
-						}
+				for _, f := range fns {
+					want := drainTopK(t, single, f, k)
+					got := walkTopK(t, snap, []prefs.Preference{f}, k, nil)[0]
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%d k=%d fn=%d: composite walk differs from single index\ngot  %v\nwant %v",
+							p.Name(), n, k, f.ID, got, want)
 					}
 				}
 			}
@@ -294,26 +324,43 @@ func TestSearchTopKEquivalence(t *testing.T) {
 }
 
 // TestSearchTopKPruning: on spatially tiled shards a small k must skip whole
-// shards, and the pruned count must land in the caller's sink.
+// shards, and settling the snapshot's reads must count every listed shard
+// once per walk — searched or pruned — with the pruned ones also landing in
+// the caller's sink.
 func TestSearchTopKPruning(t *testing.T) {
-	const d = 2
+	const (
+		d      = 2
+		shards = 8
+	)
 	items := dataset.Clustered(2000, d, 8, 19)
-	ix, err := Build(d, items, &Options{Shards: 8, Partitioner: Spatial{}})
+	ix, err := Build(d, items, &Options{Shards: shards, Partitioner: Spatial{}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := ix.Snapshot().(*snapshot)
 	fns := dataset.Functions(10, d, 20)
 	c := &stats.Counters{}
 	for _, f := range fns {
-		if _, err := ix.SearchTopKBatch([]prefs.Preference{f}, 1, 1, c); err != nil {
-			t.Fatal(err)
-		}
+		walkTopK(t, snap, []prefs.Preference{f}, 1, c)
+		snap.SettleShardReads(c)
 	}
 	if c.ShardsPruned == 0 {
 		t.Fatal("spatial shards with k=1 never pruned a shard")
 	}
+	var searched, pruned int64
+	for i := 0; i < shards; i++ {
+		l := ix.ShardLoadAt(i)
+		searched += l.Queries
+		pruned += l.Pruned
+	}
+	if searched+pruned != int64(shards*len(fns)) || pruned != c.ShardsPruned {
+		t.Fatalf("settled %d searched + %d pruned (sink %d) over %d walks of %d shards",
+			searched, pruned, c.ShardsPruned, len(fns), shards)
+	}
 }
 
+// TestSearchTopKEdgeCases: k = 0 reads nothing and settles nothing; the
+// composite over paged shards, which cannot snapshot, still walks directly.
 func TestSearchTopKEdgeCases(t *testing.T) {
 	items := dataset.Independent(100, 2, 21)
 	ix, err := Build(2, items, &Options{Shards: 4})
@@ -321,18 +368,27 @@ func TestSearchTopKEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := dataset.Functions(1, 2, 22)[0]
-	if out, err := ix.SearchTopKBatch([]prefs.Preference{f}, 0, 1, nil); err != nil || len(out) != 1 || out[0] != nil {
-		t.Fatalf("k=0: (%v, %v)", out, err)
+	snap := ix.Snapshot().(*snapshot)
+	c := &stats.Counters{}
+	if out := walkTopK(t, snap, []prefs.Preference{f}, 0, c); len(out[0]) != 0 {
+		t.Fatalf("k=0 returned %v", out[0])
 	}
-	// Paged shards: descriptive error, naming Snapshotter.
+	snap.SettleShardReads(c)
+	if c.NodesVisited != 0 || c.ShardsPruned != 0 || ix.QuerySkew() != 0 {
+		t.Fatalf("k=0 read or settled work: %v, skew %v", c.String(), ix.QuerySkew())
+	}
 	pix, err := Build(2, items, &Options{Shards: 2, BuildShard: func(dim int, g []index.Item) (index.ObjectIndex, error) {
 		return paged.Build(dim, g, nil)
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pix.SearchTopKBatch([]prefs.Preference{f}, 3, 2, nil); err == nil {
-		t.Fatal("fan-out over paged shards accepted")
+	single, err := mem.Build(2, items, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := walkTopK(t, pix, []prefs.Preference{f}, 3, nil)[0], drainTopK(t, single, f, 3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("walk over paged shards: got %v, want %v", got, want)
 	}
 }
 
@@ -436,10 +492,10 @@ func TestShardNodesForwardFlatPayloads(t *testing.T) {
 	}
 }
 
-// TestSearchTopKBatchEquivalence: the batched fan-out must return, for every
-// function in the batch, exactly what ranked search over one combined memory
-// index returns — same objects, same order — across partitioners, shard
-// counts, batch sizes, k and worker counts.
+// TestSearchTopKBatchEquivalence: one batch walk over a composite snapshot
+// must return, for every function in the batch, exactly what a drained
+// Searcher over one combined memory index returns — same objects, same
+// order — across partitioners, shard counts, batch sizes and k.
 func TestSearchTopKBatchEquivalence(t *testing.T) {
 	const d = 3
 	items := dataset.Clustered(900, d, 6, 17)
@@ -461,33 +517,15 @@ func TestSearchTopKBatchEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			snap := ix.Snapshot()
 			for _, q := range []int{1, 3, 16} {
 				for _, k := range []int{1, 5, 950} {
-					for _, workers := range []int{1, 4} {
-						batch := prefsOf(q)
-						got, err := ix.SearchTopKBatch(batch, k, workers, &stats.Counters{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(got) != q {
-							t.Fatalf("q=%d: %d result sets", q, len(got))
-						}
-						for f := range batch {
-							want, err := topk.Search(single, batch[f], k, &stats.Counters{})
-							if err != nil {
-								t.Fatal(err)
-							}
-							if len(want) == 0 {
-								want = nil
-							}
-							gf := got[f]
-							if len(gf) == 0 {
-								gf = nil
-							}
-							if !reflect.DeepEqual(gf, want) {
-								t.Fatalf("%s/%d q=%d k=%d w=%d fn#%d: batched fan-out differs\ngot  %v\nwant %v",
-									p.Name(), n, q, k, workers, f, gf, want)
-							}
+					batch := prefsOf(q)
+					got := walkTopK(t, snap, batch, k, &stats.Counters{})
+					for f := range batch {
+						if want := drainTopK(t, single, batch[f], k); !reflect.DeepEqual(got[f], want) {
+							t.Fatalf("%s/%d q=%d k=%d fn#%d: batch walk differs\ngot  %v\nwant %v",
+								p.Name(), n, q, k, f, got[f], want)
 						}
 					}
 				}
@@ -496,27 +534,27 @@ func TestSearchTopKBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestSearchTopKBatchEdgeCases: an empty batch reads nothing, and a batch
+// over a composite whose shards are all empty answers every function with
+// nothing.
 func TestSearchTopKBatchEdgeCases(t *testing.T) {
 	items := dataset.Independent(100, 2, 21)
 	ix, err := Build(2, items, &Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := dataset.Functions(1, 2, 22)[0]
-	if out, err := ix.SearchTopKBatch(nil, 3, 1, nil); err != nil || out != nil {
-		t.Fatalf("empty batch: (%v, %v)", out, err)
+	c := &stats.Counters{}
+	if out := walkTopK(t, ix.Snapshot(), nil, 3, c); len(out) != 0 || c.NodesVisited != 0 {
+		t.Fatalf("empty batch: %v, %v", out, c.String())
 	}
-	out, err := ix.SearchTopKBatch([]prefs.Preference{f}, 0, 1, nil)
-	if err != nil || len(out) != 1 || out[0] != nil {
-		t.Fatalf("k=0: (%v, %v)", out, err)
-	}
-	pix, err := Build(2, items, &Options{Shards: 2, BuildShard: func(dim int, g []index.Item) (index.ObjectIndex, error) {
-		return paged.Build(dim, g, nil)
-	}})
+	empty, err := Build(2, nil, &Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pix.SearchTopKBatch([]prefs.Preference{f}, 3, 2, nil); err == nil {
-		t.Fatal("batched fan-out over paged shards accepted")
+	fs := dataset.Functions(2, 2, 22)
+	for f, rs := range walkTopK(t, empty.Snapshot(), []prefs.Preference{fs[0], fs[1]}, 3, nil) {
+		if len(rs) != 0 {
+			t.Fatalf("fn %d over an empty composite returned %v", f, rs)
+		}
 	}
 }

@@ -35,7 +35,7 @@ type Counters struct {
 	Loops           int64 // outer loops of the matcher
 	PairsEmitted    int64 // stable pairs reported
 	TreeDeletes     int64 // object deletions from the disk R-tree
-	ShardsPruned    int64 // whole shards skipped by MBR pruning in the sharded ranked fan-out
+	ShardsPruned    int64 // whole shards skipped by MBR pruning (composite-snapshot walks, matching-wave streams)
 
 	// Dynamic-backend counters.
 

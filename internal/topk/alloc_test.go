@@ -35,10 +35,10 @@ func buildMemSnapshot(t *testing.T, n, d int) index.ObjectIndex {
 // TestZeroAllocSteadyState pins the tentpole property of the serving path:
 // after warm-up, pooled Top1 and buffer-reusing SearchAppend over a memory
 // snapshot perform zero allocations per query. The flat columnar arena
-// (points and rects are slab windows, not fresh slices), the pooled
-// searcher (retained frontier backing array) and the devirtualized linear
-// fast path each contribute; a regression in any of them shows up here as
-// allocs/op > 0.
+// (points and rects are slab windows, not fresh slices), the pooled batch
+// searcher (retained frontier and heap backing arrays) and the
+// devirtualized linear kernels each contribute; a regression in any of them
+// shows up here as allocs/op > 0.
 func TestZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (instrumented allocations, sync.Pool drops puts)")
@@ -85,7 +85,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 
 // TestZeroAllocReusedSearcher asserts the same property for a private
 // (non-pooled) searcher driven through Reset/Next directly — the form the
-// sharded fan-out workers and the incremental Brute Force matcher use.
+// incremental Brute Force matcher uses.
 func TestZeroAllocReusedSearcher(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector (instrumented allocations, sync.Pool drops puts)")
@@ -120,11 +120,12 @@ func TestZeroAllocReusedSearcher(t *testing.T) {
 	}
 }
 
-// TestLinearFastPathMatchesGeneric pins the devirtualized flat-slab scoring
-// to the generic interface path: the same queries over the same memory
-// snapshot must yield bit-identical results whether the preference arrives
-// as the concrete linear Function (fast path) or wrapped so the type
-// assertion fails (generic path).
+// TestLinearFastPathMatchesGeneric pins the Searcher's devirtualized
+// flat-slab scoring (the path the resumable streams take) to its generic
+// interface path: the same queries over the same memory snapshot must yield
+// bit-identical results whether the preference arrives as the concrete
+// linear Function (fast path) or wrapped so the type assertion fails
+// (generic path).
 func TestLinearFastPathMatchesGeneric(t *testing.T) {
 	const (
 		d = 4
@@ -140,14 +141,8 @@ func TestLinearFastPathMatchesGeneric(t *testing.T) {
 		}
 		w[rng.Intn(d)]++
 		f := prefs.MustFunction(trial, w)
-		fast, err := Search(snap, f, k, &stats.Counters{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := Search(snap, hideLinear{f}, k, &stats.Counters{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		fast := drainSearcher(t, snap, f, k)
+		slow := drainSearcher(t, snap, hideLinear{f}, k)
 		if len(fast) != len(slow) {
 			t.Fatalf("trial %d: fast path returned %d results, generic %d", trial, len(fast), len(slow))
 		}
@@ -169,14 +164,8 @@ func TestDimensionMismatchTakesGenericPath(t *testing.T) {
 	snap := buildMemSnapshot(t, 1500, 4)
 	for _, w := range [][]float64{{0.7, 0.3}, {0.5, 0.2, 0.3}} {
 		f := prefs.MustFunction(0, w)
-		fast, err := Search(snap, f, 20, &stats.Counters{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := Search(snap, hideLinear{f}, 20, &stats.Counters{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		fast := drainSearcher(t, snap, f, 20)
+		slow := drainSearcher(t, snap, hideLinear{f}, 20)
 		if len(fast) != len(slow) {
 			t.Fatalf("weights=%v: %d vs %d results", w, len(fast), len(slow))
 		}

@@ -44,11 +44,13 @@
 // the tree's upper levels are then read once per 64 functions rather than
 // once per function.
 //
-// Results are bit-identical to Q independent SearchAppend calls: the kernels
-// accumulate per (function, entry) in ascending coordinate order exactly like
-// vec.Dot, the total order of Better makes each top-k set unique, and
-// AppendResults drains each heap worst-first into the tail of the output so
-// the final order is descending, as SearchAppend emits.
+// Results are bit-identical to Q independent Searchers drained k deep: the
+// kernels accumulate per (function, entry) in ascending coordinate order
+// exactly like vec.Dot, the total order of Better makes each top-k set
+// unique, and AppendResults drains each heap worst-first into the tail of
+// the output so the final order is descending, as a Searcher emits. A batch
+// of one is every known-k search in the package (Top1, Search,
+// SearchAppend).
 package topk
 
 import (
@@ -506,7 +508,7 @@ func (b *BatchSearcher) expandGeneric(n index.Node) {
 func (b *BatchSearcher) Len(f int) int { return len(b.heaps[f]) }
 
 // AppendResults appends function f's results to dst in descending preference
-// order — the order SearchAppend emits — and returns the extended slice. It
+// order — the order a Searcher emits — and returns the extended slice. It
 // drains the heap worst-first into the tail of the output, so call it once
 // per function after Run.
 func (b *BatchSearcher) AppendResults(f int, dst []Result) []Result {
@@ -528,28 +530,4 @@ func (b *BatchSearcher) AppendResults(f int, dst []Result) []Result {
 	}
 	b.heaps[f] = h
 	return dst
-}
-
-// SearchBatch answers top-k for every function in one shared traversal and
-// returns one descending-order result slice per function. All functions share
-// the same k; drive a BatchSearcher directly for mixed k values or buffer
-// reuse.
-func SearchBatch(t index.ObjectIndex, fns []prefs.Preference, k int, c *stats.Counters) ([][]Result, error) {
-	if len(fns) == 0 {
-		return nil, nil
-	}
-	ks := make([]int, len(fns))
-	for i := range ks {
-		ks[i] = k
-	}
-	b := AcquireBatchSearcher(t, fns, ks, c)
-	defer b.Release()
-	if err := b.Run(); err != nil {
-		return nil, err
-	}
-	out := make([][]Result, len(fns))
-	for f := range fns {
-		out[f] = b.AppendResults(f, make([]Result, 0, b.Len(f)))
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"prefmatch/internal/index"
 	"prefmatch/internal/prefs"
 	"prefmatch/internal/stats"
 )
@@ -16,6 +17,21 @@ func batchPrefs(fns []prefs.Function) []prefs.Preference {
 		ps[i] = f
 	}
 	return ps
+}
+
+// searchBatch runs one BatchSearcher over fns, every function wanting k,
+// charging c.
+func searchBatch(t *testing.T, tr index.ObjectIndex, fns []prefs.Preference, k int, c *stats.Counters) {
+	t.Helper()
+	ks := make([]int, len(fns))
+	for i := range ks {
+		ks[i] = k
+	}
+	b := AcquireBatchSearcher(tr, fns, ks, c)
+	defer b.Release()
+	if err := b.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestBatchDeactivatesWithoutDraining pins the termination mechanism: with
@@ -45,11 +61,7 @@ func TestBatchDeactivatesWithoutDraining(t *testing.T) {
 	}
 	for f := range fns {
 		got := b.AppendResults(f, nil)
-		want, err := SearchAppend(nil, snap, fns[f], ks[f], &stats.Counters{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, f, got, want)
+		assertSameResults(t, f, got, drainSearcher(t, snap, fns[f], ks[f]))
 	}
 }
 
@@ -75,11 +87,7 @@ func TestBatchDimensionMismatchTakesGenericPath(t *testing.T) {
 	}
 	for f := range fns {
 		got := b.AppendResults(f, nil)
-		want, err := SearchAppend(nil, snap, fns[f], ks[f], &stats.Counters{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, f, got, want)
+		assertSameResults(t, f, got, drainSearcher(t, snap, fns[f], ks[f]))
 	}
 }
 
@@ -105,11 +113,7 @@ func TestBatchMixedPreferenceTakesGenericPath(t *testing.T) {
 	}
 	for f := range fns {
 		got := b.AppendResults(f, nil)
-		want, err := SearchAppend(nil, snap, fns[f], ks[f], &stats.Counters{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameResults(t, f, got, want)
+		assertSameResults(t, f, got, drainSearcher(t, snap, fns[f], ks[f]))
 	}
 }
 
@@ -125,9 +129,7 @@ func TestBatchCountersDeterministic(t *testing.T) {
 	}
 	run := func() stats.Counters {
 		c := &stats.Counters{}
-		if _, err := SearchBatch(snap, batchPrefs(fns), 5, c); err != nil {
-			t.Fatal(err)
-		}
+		searchBatch(t, snap, batchPrefs(fns), 5, c)
 		return *c
 	}
 	a, b := run(), run()
@@ -141,9 +143,10 @@ func TestBatchCountersDeterministic(t *testing.T) {
 
 // TestBatchSharesNodeVisits is the shared-work acceptance property: a Q=16
 // batch must read less than half the R-tree nodes that 16 independent
-// searches read (it should in fact be close to 1/16th on the upper levels),
-// without multiplying scoring: the pop-time per-function test keeps its
-// score evaluations within 10% of the independent searches'.
+// searches (SearchAppend, a batch of one each) read (it should in fact be
+// close to 1/16th on the upper levels), without multiplying scoring: the
+// pop-time per-function test keeps its score evaluations within 10% of the
+// independent searches'.
 func TestBatchSharesNodeVisits(t *testing.T) {
 	const (
 		q = 16
@@ -162,9 +165,7 @@ func TestBatchSharesNodeVisits(t *testing.T) {
 		}
 	}
 	bat := &stats.Counters{}
-	if _, err := SearchBatch(snap, batchPrefs(fns), k, bat); err != nil {
-		t.Fatal(err)
-	}
+	searchBatch(t, snap, batchPrefs(fns), k, bat)
 	if bat.NodesVisited*2 >= ind.NodesVisited {
 		t.Fatalf("batched traversal visited %d nodes, independent searches %d; want < 0.5×",
 			bat.NodesVisited, ind.NodesVisited)

@@ -2,8 +2,8 @@
 // every backend — memory snapshot (flat fast path), paged (generic nodes),
 // sharded composite snapshot (synthetic root + forwarded flat payloads) — a
 // batch of Q functions with mixed k values must be bit-identical (IDs, order,
-// scores, points) to Q independent SearchAppend calls, including batches
-// wider than the 64 functions one traversal serves. Lives outside package
+// scores, points) to Q independent resumable Searchers drained k deep,
+// including batches wider than the 64 functions one traversal serves. Lives outside package
 // topk because importing the sharded backend from an in-package test would
 // cycle (sharded itself builds on topk).
 package topk_test
@@ -101,10 +101,7 @@ func TestBatchMatchesIndependentSearchesAllBackends(t *testing.T) {
 				}
 				b.Release()
 				for f := 0; f < q; f++ {
-					want, err := topk.SearchAppend(nil, ix, fns[f], ks[f], &stats.Counters{})
-					if err != nil {
-						t.Fatal(err)
-					}
+					want := drain(t, ix, fns[f], ks[f])
 					if len(got[f]) != len(want) {
 						t.Fatalf("q=%d fn %d (k=%d): batch returned %d results, independent %d",
 							q, f, ks[f], len(got[f]), len(want))
@@ -125,19 +122,40 @@ func TestBatchMatchesIndependentSearchesAllBackends(t *testing.T) {
 	}
 }
 
-// TestBatchEmptyTreeAllBackends: a batch over an empty tree terminates with
-// empty per-function results.
+// drain is the resumable engine's answer to a top-k query: a pooled
+// Searcher drained k deep (fewer when the tree runs dry).
+func drain(t *testing.T, ix index.ObjectIndex, pref prefs.Preference, k int) []topk.Result {
+	t.Helper()
+	s := topk.AcquireSearcher(ix, pref, &stats.Counters{})
+	defer s.Release()
+	var out []topk.Result
+	for len(out) < k {
+		r, ok, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestBatchEmptyTree: a batch over an empty tree terminates with empty
+// per-function results.
 func TestBatchEmptyTree(t *testing.T) {
 	tr, err := paged.New(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fns := []prefs.Preference{prefs.MustFunction(0, []float64{1, 1})}
-	out, err := topk.SearchBatch(tr, fns, 3, &stats.Counters{})
-	if err != nil {
+	b := topk.AcquireBatchSearcher(tr, fns, []int{3}, &stats.Counters{})
+	defer b.Release()
+	if err := b.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 1 || len(out[0]) != 0 {
-		t.Fatalf("empty tree returned %v", out)
+	if b.Len(0) != 0 {
+		t.Fatalf("empty tree returned %d results", b.Len(0))
 	}
 }

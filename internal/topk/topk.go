@@ -13,16 +13,17 @@
 //
 // # Serving path
 //
-// Searcher is resettable: Reset rebinds it to a (tree, preference) pair
-// while keeping the frontier's backing array, so a steady-state caller
-// performs zero allocations per query. AcquireSearcher/Release pool
-// searchers across goroutines; Search and SearchAppend route through the
-// pool. Top1 runs a pooled BatchSearcher of one instead: a bounded search
-// never needs the resumable frontier, and the batch searcher keeps only
-// nodes in it. When the preference is a linear prefs.Function and the backend
-// exposes columnar node storage (index.FlatLeaf / index.FlatInternal — the
-// memory backend does), scoring runs devirtualized over the flat slabs with
-// no per-entry interface dispatch. All paths produce bit-identical results.
+// Every known-k search is a BatchSearcher walk (batch.go): Top1, Search and
+// SearchAppend run a pooled batch of one, so a bounded search keeps only
+// nodes in its frontier and offers leaf objects to a k-slot heap. Searcher
+// is the resumable form, kept for the consumers that cannot know k up front
+// — the incremental Brute Force ablation and the sharded matching wave's
+// per-shard streams. Both are resettable and pooled, so a steady-state
+// caller performs zero allocations per query. When the preference is a
+// linear prefs.Function and the backend exposes columnar node storage
+// (index.FlatLeaf / index.FlatInternal — the memory backend does), scoring
+// runs devirtualized over the flat slabs with no per-entry interface
+// dispatch. All paths produce bit-identical results.
 package topk
 
 import (
@@ -46,9 +47,9 @@ type Result struct {
 
 // Better is the total order of ranked results: higher score first, then
 // larger coordinate sum, then smaller object ID (the deterministic
-// function-side preference of package prefs). It is the order Search emits
-// — and therefore the order any merger of per-partition result streams
-// must use to stay bit-identical to a single search.
+// function-side preference of package prefs). It is the order every search
+// emits — and therefore the order any merger of per-partition result
+// streams must use to stay bit-identical to a single search.
 func Better(a, b Result) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -102,7 +103,8 @@ func better(a, b heapItem) bool {
 // while keeping the frontier's backing array, so steady-state ranked search
 // allocates nothing. Use AcquireSearcher/Release to share searchers through
 // the package pool, or NewSearcher for a private long-lived one (the
-// incremental Brute Force matcher keeps one live per function).
+// incremental Brute Force matcher keeps one live per function). A search
+// that knows its k should run a BatchSearcher instead (SearchAppend).
 type Searcher struct {
 	tree     index.ObjectIndex
 	pref     prefs.Preference
@@ -111,7 +113,6 @@ type Searcher struct {
 	frontier pqueue.Queue[heapItem]
 	counters *stats.Counters
 	cancel   cancel.Token // zero Token: never cancels
-	floor    float64      // entries bounded strictly below it are never pushed (see SetFloor)
 }
 
 // NewSearcher returns an unbound reusable searcher; call Reset before Next.
@@ -139,7 +140,6 @@ func (s *Searcher) Reset(t index.ObjectIndex, pref prefs.Preference, c *stats.Co
 	s.frontier.Reset()
 	s.frontier.SetCounters(c)
 	s.cancel = cancel.Token{}
-	s.floor = -inf
 	c.Top1Searches++
 	if root := t.RootPage(); root != pagedfile.InvalidPage {
 		// The root's true bound is unknown before reading it; +Inf keeps it
@@ -156,22 +156,9 @@ func (s *Searcher) Reset(t index.ObjectIndex, pref prefs.Preference, c *stats.Co
 // Token never cancels and costs one nil comparison per node.
 func (s *Searcher) SetCancel(t cancel.Token) { s.cancel = t }
 
-// SetFloor arms the searcher with a proven lower bound on the scores the
-// caller will accept: heap entries — nodes and objects alike — whose bound is
-// strictly below the floor are never pushed, so the frontier stays small and
-// whole subtrees are skipped without a heap operation. The caller must
-// guarantee the floor is a valid lower bound on the k-th score it will take
-// (e.g. the re-scored k-th of k objects known to be live in the same tree);
-// then the first k results are bit-identical to an unfloored search, because
-// every emitted object scores at least the floor and entries below it can
-// never surface among them. Next calls beyond that guarantee may terminate
-// early. Reset and Release disarm the floor, so pooled searchers never
-// inherit one.
-func (s *Searcher) SetFloor(floor float64) { s.floor = floor }
-
-// searcherPool recycles warmed searchers across queries and goroutines: the
-// serving path (session walks, SearchAppend) would otherwise allocate a
-// frontier per query.
+// searcherPool recycles warmed searchers across streams and goroutines: the
+// sharded matching wave opens one stream per (function, shard) and would
+// otherwise allocate a frontier for each.
 var searcherPool = sync.Pool{New: func() any { return NewSearcher() }}
 
 // AcquireSearcher returns a pooled searcher already Reset for (t, pref, c).
@@ -189,7 +176,6 @@ func (s *Searcher) Release() {
 	s.tree, s.pref, s.counters = nil, nil, nil
 	s.lin, s.isLinear = prefs.Function{}, false
 	s.cancel = cancel.Token{}
-	s.floor = -inf
 	s.frontier.Reset()
 	s.frontier.SetCounters(nil)
 	searcherPool.Put(s)
@@ -223,12 +209,8 @@ func (s *Searcher) Next() (Result, bool, error) {
 			if n.Leaf() {
 				it := n.Object(i)
 				s.counters.ScoreEvals++
-				sc := s.pref.Score(it.Point)
-				if sc < s.floor {
-					continue
-				}
 				s.frontier.Push(heapItem{
-					bound: sc,
+					bound: s.pref.Score(it.Point),
 					isObj: true,
 					id:    it.ID,
 					point: it.Point,
@@ -236,12 +218,8 @@ func (s *Searcher) Next() (Result, bool, error) {
 				})
 			} else {
 				s.counters.ScoreEvals++
-				b := s.pref.UpperBound(n.Rect(i))
-				if b < s.floor {
-					continue
-				}
 				s.frontier.Push(heapItem{
-					bound: b,
+					bound: s.pref.UpperBound(n.Rect(i)),
 					page:  n.ChildPage(i),
 				})
 			}
@@ -268,9 +246,6 @@ func (s *Searcher) expandLinear(n index.Node) bool {
 			p := pts[i*d : i*d+d : i*d+d]
 			dot, sum := vec.DotSum(w, p)
 			s.counters.ScoreEvals++
-			if dot < s.floor {
-				continue
-			}
 			s.frontier.Push(heapItem{
 				bound: dot,
 				isObj: true,
@@ -288,12 +263,8 @@ func (s *Searcher) expandLinear(n index.Node) bool {
 	_, hi := fi.FlatRects() // a monotone bound over an MBR needs the top corner only
 	for i := 0; i < n.Len(); i++ {
 		s.counters.ScoreEvals++
-		b := vec.Dot(w, hi[i*d:i*d+d])
-		if b < s.floor {
-			continue
-		}
 		s.frontier.Push(heapItem{
-			bound: b,
+			bound: vec.Dot(w, hi[i*d:i*d+d]),
 			page:  n.ChildPage(i),
 		})
 	}
@@ -301,49 +272,42 @@ func (s *Searcher) expandLinear(n index.Node) bool {
 }
 
 // Top1 returns the single best object in t for pref, with ok == false when t
-// is empty. It runs as a pooled BatchSearcher of one: it reads the same nodes
-// as a Searcher's first Next, but offers leaf objects to a one-slot heap
-// instead of pushing each into the frontier.
+// is empty: SearchAppend with k = 1 into a stack buffer.
 func Top1(t index.ObjectIndex, pref prefs.Preference, c *stats.Counters) (Result, bool, error) {
-	fns, ks := [1]prefs.Preference{pref}, [1]int{1}
-	b := AcquireBatchSearcher(t, fns[:], ks[:], c)
-	defer b.Release()
-	if err := b.Run(); err != nil || b.Len(0) == 0 {
+	var buf [1]Result
+	out, err := SearchAppend(buf[:0], t, pref, 1, c)
+	if err != nil || len(out) == 0 {
 		return Result{}, false, err
 	}
-	r := b.heaps[0][0]
-	return Result{ID: r.id, Point: r.point, Score: r.score}, true, nil
+	return out[0], true, nil
 }
 
 // Search returns the k best objects in descending preference order (fewer
 // when the tree holds fewer than k objects). A non-positive k returns
-// (nil, nil).
+// (nil, nil). The result is sized by what the tree can hold, never by k
+// alone, so a huge k costs no more than k = t.Len().
 func Search(t index.ObjectIndex, pref prefs.Preference, k int, c *stats.Counters) ([]Result, error) {
 	if k <= 0 {
 		return nil, nil
 	}
-	return SearchAppend(make([]Result, 0, k), t, pref, k, c)
+	return SearchAppend(make([]Result, 0, min(k, t.Len())), t, pref, k, c)
 }
 
 // SearchAppend appends the up-to-k best objects to dst, best first, and
 // returns the extended slice — the allocation-free form of Search for
-// callers that reuse a result buffer across queries. A non-positive k
-// returns dst unchanged.
+// callers that reuse a result buffer across queries. It runs a pooled
+// BatchSearcher of one: it reads the nodes a drained Searcher would read to
+// emit k results, but offers leaf objects to a k-slot heap instead of
+// pushing each into the frontier. A non-positive k returns dst unchanged.
 func SearchAppend(dst []Result, t index.ObjectIndex, pref prefs.Preference, k int, c *stats.Counters) ([]Result, error) {
 	if k <= 0 {
 		return dst, nil
 	}
-	s := AcquireSearcher(t, pref, c)
-	defer s.Release()
-	for taken := 0; taken < k; taken++ {
-		r, ok, err := s.Next()
-		if err != nil {
-			return dst, err
-		}
-		if !ok {
-			break
-		}
-		dst = append(dst, r)
+	fns, ks := [1]prefs.Preference{pref}, [1]int{k}
+	b := AcquireBatchSearcher(t, fns[:], ks[:], c)
+	defer b.Release()
+	if err := b.Run(); err != nil {
+		return dst, err
 	}
-	return dst, nil
+	return b.AppendResults(0, dst), nil
 }

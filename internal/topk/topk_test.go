@@ -53,6 +53,27 @@ func referenceOrder(items []index.Item, f prefs.Preference) []index.Item {
 	return out
 }
 
+// drainSearcher is the resumable engine's answer to a top-k query: a fresh
+// Searcher drained k deep (fewer when the tree runs dry). The equivalence
+// tests use it as the second engine beside the batch searcher.
+func drainSearcher(t *testing.T, tr index.ObjectIndex, pref prefs.Preference, k int) []Result {
+	t.Helper()
+	s := NewSearcher()
+	s.Reset(tr, pref, &stats.Counters{})
+	var out []Result
+	for len(out) < k {
+		r, ok, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 func TestTop1MatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, d := range []int{2, 3, 5} {

@@ -39,9 +39,10 @@
 // either base backend (Options.Shards, Options.ShardBy): the shards are
 // joined under a synthetic root whose entries carry the shard bounding
 // boxes, so branch-and-bound consumers skip whole shards that cannot beat
-// their threshold, and Server fans ranked searches across the shards in
-// parallel. All backends and shard counts produce the identical stable
-// matching for every algorithm.
+// their threshold: a Server walks the composite like one tree for ranked
+// search and skyline, and runs matching waves shard-parallel. All backends
+// and shard counts produce the identical stable matching for every
+// algorithm.
 //
 // # Concurrency
 //
@@ -291,7 +292,11 @@ type Options struct {
 	// the selected Backend, joined by the sharded composite backend. 0 (the
 	// default) builds a single index; 1 builds a one-shard composite
 	// (useful for measuring the composite's overhead); larger values split
-	// the object set. At most sharded.MaxShards (256).
+	// the object set. At most sharded.MaxShards (256). A Server answers
+	// top-k, session and skyline requests with one walk over a composite
+	// snapshot, whose synthetic root skips every shard whose bounding box
+	// cannot reach the answer (Stats.ShardsPruned), and runs matching waves
+	// shard-parallel (see ShardMatch).
 	Shards int
 
 	// ShardBy selects the partitioner of the sharded composite backend.
@@ -442,6 +447,13 @@ func (o *Options) Validate() error {
 
 // Stats reports the work a run performed, mirroring the measurements in the
 // paper's evaluation.
+//
+// ShardsPruned is sharded-only. On a Server it counts, for every recorded
+// request that walked the composite snapshot — a top-k chunk of at most 64
+// queries, a session walk, a skyline — each shard listed under the
+// synthetic root that the walk never entered; session answers served
+// without a walk add nothing. A shard-parallel matching wave adds the
+// shard streams it never opened.
 type Stats struct {
 	IOAccesses      int64         // physical page transfers (the paper's metric)
 	PageReads       int64         // physical reads
@@ -458,7 +470,7 @@ type Stats struct {
 	Loops           int64         // matcher loops
 	Pairs           int64         // assignments produced
 	TreeDeletes     int64         // object deletions from the object R-tree
-	ShardsPruned    int64         // whole shards skipped by MBR pruning (sharded fan-out only)
+	ShardsPruned    int64         // whole shards skipped by MBR pruning (sharded only; see above)
 	Elapsed         time.Duration // wall-clock time of the matching phase
 
 	// Dynamic-backend serving state (zero on static backends). The first

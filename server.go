@@ -42,14 +42,14 @@ import (
 // return an error wrapping index.ErrReadOnly.
 //
 // With Options.Shards set, the server runs on the sharded composite over
-// memory (or dynamic) shards: skyline requests traverse a composite
-// snapshot, top-k batches fan across per-shard snapshot workers and merge,
-// and matching waves run shard-parallel through
-// sharded.MatchWave — the SB loop at the merge point, per-shard skylines
-// computed and maintained concurrently — with results bit-identical to the
-// single-index wave. Shards whose bounding box cannot contribute are
-// skipped (Stats.ShardsPruned counts them). Over dynamic shards, writes are
-// routed by the partitioner and each shard rotates epochs independently.
+// memory (or dynamic) shards: top-k, session and skyline requests walk a
+// composite snapshot exactly as they walk a single index, and matching
+// waves run shard-parallel through sharded.MatchWave — the SB loop at the
+// merge point, per-shard skylines computed and maintained concurrently —
+// with results bit-identical to the single-index wave. Shards whose
+// bounding box cannot contribute are skipped (Stats.ShardsPruned counts
+// them). Over dynamic shards, writes are routed by the partitioner and each
+// shard rotates epochs independently.
 //
 // Matching waves are restricted to the skyline-based algorithm, which never
 // mutates the object index; requesting BruteForce or Chain returns an
@@ -59,12 +59,6 @@ type Server struct {
 	ix      servingIndex
 	sh      *sharded.Index // non-nil for a sharded index: enables the shard-parallel matching wave
 	scratch sync.Pool      // *serveScratch: pooled per-request plumbing
-
-	// searchBatch is the one top-k search, chosen in newServer: the pooled
-	// snapshot's batch searcher (searchSnapshot) or the sharded fan-out
-	// (searchShards). It answers fns, each wanting its k best, into sc.rbuf
-	// and sc.roffs, charging sc.c; workers is the shard worker budget.
-	searchBatch func(sc *serveScratch, fns []prefs.Preference, k int, tok cancel.Token, workers int) error
 
 	// capacities is the capacity map in effect for new requests, replaced
 	// copy-on-write by the write path (Insert/Update/Remove) so in-flight
@@ -117,7 +111,7 @@ func (s *Server) caps() map[index.ObjID]int {
 }
 
 // serveScratch is the per-request plumbing a read-only request needs — a
-// snapshot wired to a private counter sink, plus the top-k pipeline's
+// snapshot wired to a private counter sink, plus the ranked search's
 // reusable buffers — pooled so a steady-state request allocates nothing.
 // Reusing a snapshot across requests is sound on every serving backend: mem
 // views stay valid forever under the freeze contract, while dynamic and
@@ -126,15 +120,16 @@ func (s *Server) caps() map[index.ObjID]int {
 // however writers and background merges rotate underneath it.
 type serveScratch struct {
 	snap    index.ObjectIndex
-	refresh func() // re-pins the latest epoch; nil on non-rotating backends
+	refresh func()                // re-pins the latest epoch; nil on non-rotating backends
+	settle  func(*stats.Counters) // charges the shard reads since pin; nil when unsharded
 	c       stats.Counters
 	arena   vec.Point          // normalised query weights
 	fnvals  []prefs.Function   // linear batch functions, weights aliasing arena
 	fns     []prefs.Preference // the batch: *Function views of fnvals, or one monotone adapter
 	qids    []int              // query ID per function, labelling its assignments
 	ks      []int
-	rbuf    []topk.Result // searchBatch output, flat
-	roffs   []int         // searchBatch output boundaries, one per function plus the end
+	rbuf    []topk.Result // searchSnapshot output, flat
+	roffs   []int         // searchSnapshot output boundaries, one per function plus the end
 	offs    []int         // per-query boundaries for callers without an offsets buffer
 }
 
@@ -247,15 +242,16 @@ func newServer(ix index.ObjectIndex, capacities map[index.ObjID]int, opts *Optio
 	if capacities != nil {
 		s.capacities.Store(&capacities)
 	}
-	s.searchBatch = searchSnapshot
 	if sh, ok := ix.(*sharded.Index); ok {
 		s.sh = sh
-		s.searchBatch = s.searchShards
 	}
 	s.scratch.New = func() any {
 		sc := &serveScratch{snap: s.ix.Snapshot()}
 		if r, ok := sc.snap.(interface{ Refresh() }); ok {
 			sc.refresh = r.Refresh
+		}
+		if st, ok := sc.snap.(interface{ SettleShardReads(*stats.Counters) }); ok {
+			sc.settle = st.SettleShardReads
 		}
 		sc.snap.SetCounters(&sc.c)
 		return sc
@@ -492,6 +488,15 @@ func (s *Server) recordN(c *stats.Counters, elapsed time.Duration, n int) {
 	s.mu.Unlock()
 }
 
+// record settles a pooled request's shard reads into its counters (on a
+// sharded server) and merges them into the server totals.
+func (s *Server) record(sc *serveScratch, elapsed time.Duration, n int) {
+	if sc.settle != nil {
+		sc.settle(&sc.c)
+	}
+	s.recordN(&sc.c, elapsed, n)
+}
+
 // Stats returns the cumulative work of every request served so far, merged
 // from the per-request counters. Elapsed is the sum of per-request wall
 // clock, not the server's lifetime — with W workers it can exceed real time
@@ -651,16 +656,18 @@ func serve[T any](s *Server, op serverOp, tok cancel.Token, validate time.Durati
 		var zero T
 		return zero, err
 	}
-	s.recordN(&sc.c, tr.stages[stageTraverse], 1)
+	s.record(sc, tr.stages[stageTraverse], 1)
 	tr.mark(stageMerge)
 	s.om.finish(op, &tr, &sc.c, 1)
 	return out, nil
 }
 
 // Every top-k request is a batch: validate into the pooled scratch's arena,
-// pin, run one batch search (the searchBatch seam) per chunk of at most
-// batchChunk queries, and emit. TopK and TopKMonotone are batches of one,
-// TopKManyAppend is the flat append form, and TopKMany slices it.
+// pin, walk the pinned snapshot once per chunk of at most batchChunk queries
+// (searchSnapshot), and emit. TopK and TopKMonotone are batches of one,
+// TopKManyAppend is the flat append form, and TopKMany slices it. On a
+// sharded server the snapshot is the composite, whose synthetic root prunes
+// whole shards by MBR like any other subtree.
 
 // batchChunk is how many queries one batch search answers: enough that the
 // tree's upper levels are read once for dozens of functions, few enough
@@ -668,10 +675,11 @@ func serve[T any](s *Server, op serverOp, tok cancel.Token, validate time.Durati
 // stay in cache, and topk.BatchSearcher's usefulness masks stay exact.
 const batchChunk = 64
 
-// searchSnapshot is searchBatch over the scratch's pinned snapshot: one
-// pooled batch searcher walks it once for every function, on the calling
-// goroutine.
-func searchSnapshot(sc *serveScratch, fns []prefs.Preference, k int, tok cancel.Token, _ int) error {
+// searchSnapshot is the one ranked search behind every known-k read: one
+// pooled batch searcher walks the scratch's pinned snapshot once for every
+// function, each wanting its k best, on the calling goroutine. It answers
+// into sc.rbuf, one run per function delimited by sc.roffs, charging sc.c.
+func searchSnapshot(sc *serveScratch, fns []prefs.Preference, k int, tok cancel.Token) error {
 	sc.ks = sc.ks[:0]
 	for range fns {
 		sc.ks = append(sc.ks, k)
@@ -686,23 +694,6 @@ func searchSnapshot(sc *serveScratch, fns []prefs.Preference, k int, tok cancel.
 	for i := range fns {
 		sc.roffs = append(sc.roffs, len(sc.rbuf))
 		sc.rbuf = b.AppendResults(i, sc.rbuf)
-	}
-	sc.roffs = append(sc.roffs, len(sc.rbuf))
-	return nil
-}
-
-// searchShards is searchBatch on a sharded server: the composite's batched
-// fan-out across workers shard workers (0 means GOMAXPROCS), each surviving
-// shard walked once for the whole batch.
-func (s *Server) searchShards(sc *serveScratch, fns []prefs.Preference, k int, tok cancel.Token, workers int) error {
-	res, err := s.sh.SearchTopKBatchCancel(fns, k, workers, tok, &sc.c)
-	if err != nil {
-		return err
-	}
-	sc.rbuf, sc.roffs = sc.rbuf[:0], sc.roffs[:0]
-	for _, rs := range res {
-		sc.roffs = append(sc.roffs, len(sc.rbuf))
-		sc.rbuf = append(sc.rbuf, rs...)
 	}
 	sc.roffs = append(sc.roffs, len(sc.rbuf))
 	return nil
@@ -749,7 +740,7 @@ func (s *Server) validateBatch(sc *serveScratch, queries []Query, k int, join bo
 // entry per query plus a final boundary. Each chunk is traced, recorded
 // (Served advances by its width) and observed under op; validate, the
 // caller's validation time, is observed once, with the first chunk.
-func (s *Server) runBatch(tok cancel.Token, op serverOp, sc *serveScratch, validate time.Duration, k, shardWorkers int, dst []Assignment, offsets []int) ([]Assignment, []int, error) {
+func (s *Server) runBatch(tok cancel.Token, op serverOp, sc *serveScratch, validate time.Duration, k int, dst []Assignment, offsets []int) ([]Assignment, []int, error) {
 	fns := sc.fns
 	if k == 0 {
 		if validate > 0 {
@@ -766,7 +757,7 @@ func (s *Server) runBatch(tok cancel.Token, op serverOp, sc *serveScratch, valid
 	tr.mark(stagePin)
 	for lo := 0; lo < len(fns); lo += batchChunk {
 		hi := min(lo+batchChunk, len(fns))
-		err := s.searchBatch(sc, fns[lo:hi], k, tok, shardWorkers)
+		err := searchSnapshot(sc, fns[lo:hi], k, tok)
 		tr.mark(stageTraverse)
 		if err == nil {
 			// A read whose context fired during traversal fails, even when
@@ -783,7 +774,7 @@ func (s *Server) runBatch(tok cancel.Token, op serverOp, sc *serveScratch, valid
 				dst = append(dst, Assignment{QueryID: sc.qids[i], ObjectID: int(r.ID), Score: r.Score})
 			}
 		}
-		s.recordN(&sc.c, tr.stages[stageTraverse], hi-lo)
+		s.record(sc, tr.stages[stageTraverse], hi-lo)
 		tr.mark(stageMerge)
 		s.om.finish(op, &tr, &sc.c, hi-lo)
 		sc.c = stats.Counters{} // the next chunk records only its own work
@@ -802,8 +793,8 @@ func (s *Server) resultBuf(k, n int) []Assignment {
 
 // topKOne is the batch of one behind TopK, TopKMonotone and TopKPref: an
 // admitted request, labelled qid, whose validate puts one function into the
-// scratch, fanned across GOMAXPROCS shard workers on a sharded server. The
-// returned slice is the call's one allocation; k == 0 returns nil.
+// scratch. The returned slice is the call's one allocation; k == 0 returns
+// nil.
 func (s *Server) topKOne(tok cancel.Token, qid, k int, validate func(sc *serveScratch) error) (_ []Assignment, err error) {
 	if err := s.admit(tok); err != nil {
 		return nil, err
@@ -817,7 +808,7 @@ func (s *Server) topKOne(tok cancel.Token, qid, k int, validate func(sc *serveSc
 		s.om.fail(opTopK)
 		return nil, err
 	}
-	dst, offs, err := s.runBatch(tok, opTopK, sc, time.Since(vstart), k, 0, s.resultBuf(k, 1), sc.offs[:0])
+	dst, offs, err := s.runBatch(tok, opTopK, sc, time.Since(vstart), k, s.resultBuf(k, 1), sc.offs[:0])
 	sc.offs = offs
 	if err != nil {
 		return nil, err
@@ -828,9 +819,9 @@ func (s *Server) topKOne(tok cancel.Token, qid, k int, validate func(sc *serveSc
 // TopK returns the k best objects for one linear query, best first, without
 // rebuilding the index (compare the package-level TopK, which bulk-loads a
 // throwaway index per call). It runs as a batch of one through the same
-// shared-traversal search as TopKMany; on a sharded server the request fans
-// out across all CPUs' worth of per-shard snapshot workers. Safe for
-// concurrent use.
+// shared-traversal search as TopKMany, on the calling goroutine; on a
+// sharded server that walk skips every shard whose bounding box cannot
+// reach the k-th result. Safe for concurrent use.
 func (s *Server) TopK(query Query, k int) ([]Assignment, error) {
 	return s.topKReq(cancel.Token{}, query, k)
 }
@@ -866,13 +857,13 @@ func (s *Server) topKMonotone(tok cancel.Token, query PreferenceQuery, k int) ([
 // slice per query — the paper's serving framing: many users, one object
 // set, each wanting a personal ranking. Instead of one descent per query,
 // the queries are validated up front and each chunk of at most batchChunk
-// walks the tree once (on a sharded server, each surviving shard once).
+// walks the tree once (on a sharded server, through the composite's
+// synthetic root, entering only the shards some query can still use).
 // Results are bit-identical to per-query TopK calls.
 //
 // Chunks are spread across workers goroutines (0 or negative means
-// GOMAXPROCS). On a sharded server, workers is the total parallelism
-// budget: the per-chunk fan-out takes what it can use and the rest goes to
-// each chunk's per-shard fan-out (workers=1 stays fully sequential).
+// GOMAXPROCS); each chunk walks on one goroutine, so workers=1 stays fully
+// sequential.
 func (s *Server) TopKMany(queries []Query, k, workers int) ([][]Assignment, error) {
 	return s.topKMany(cancel.Token{}, queries, k, workers)
 }
@@ -895,16 +886,15 @@ func (s *Server) topKMany(tok cancel.Token, queries []Query, k, workers int) (_ 
 	s.om.stages[stageValidate].ObserveDuration(time.Since(vstart))
 	results := make([][]Assignment, len(queries))
 	chunks := (len(queries) + batchChunk - 1) / batchChunk
-	budget, shardWorkers := s.splitBudget(workers, chunks)
 	cerrs := make([]error, chunks)
-	fanOut(chunks, budget, func(ci int) {
+	fanOut(chunks, workers, func(ci int) {
 		cerrs[ci] = guard.Safe(func() error {
 			lo, hi := ci*batchChunk, min((ci+1)*batchChunk, len(queries))
 			csc := s.getScratch()
 			defer s.releaseScratch(csc)
 			csc.fns = append(csc.fns, sc.fns[lo:hi]...)
 			csc.qids = append(csc.qids, sc.qids[lo:hi]...)
-			flat, offs, err := s.runBatch(tok, opTopKMany, csc, 0, k, shardWorkers, s.resultBuf(k, hi-lo), csc.offs[:0])
+			flat, offs, err := s.runBatch(tok, opTopKMany, csc, 0, k, s.resultBuf(k, hi-lo), csc.offs[:0])
 			csc.offs = offs
 			if err != nil {
 				return err
@@ -949,7 +939,7 @@ func (s *Server) topKManyAppend(tok cancel.Token, dst []Assignment, offsets []in
 		s.om.fail(opTopKMany)
 		return dst, offsets, err
 	}
-	return s.runBatch(tok, opTopKMany, sc, time.Since(vstart), k, 1, dst, offsets)
+	return s.runBatch(tok, opTopKMany, sc, time.Since(vstart), k, dst, offsets)
 }
 
 // Skyline returns the ascending IDs of the non-dominated objects, computed
@@ -984,10 +974,11 @@ func clampWorkers(workers, jobs int) int {
 	return workers
 }
 
-// splitBudget splits a parallelism budget (0 or negative means GOMAXPROCS)
-// so an outer fan-out over jobs and each job's per-shard fan-out never
-// multiply into oversubscription: the outer level takes what it can use,
-// the rest goes to each job's shard workers (1 on an unsharded server).
+// splitBudget splits MatchMany's parallelism budget (0 or negative means
+// GOMAXPROCS) so the fan-out over waves and each wave's per-shard fan-out
+// never multiply into oversubscription: the outer level takes what it can
+// use, the rest goes to each wave's shard workers (1 on an unsharded
+// server).
 func (s *Server) splitBudget(workers, jobs int) (budget, shardWorkers int) {
 	budget = workers
 	if budget < 1 {

@@ -223,9 +223,10 @@ func TestSteadyStateServerTopKAllocs(t *testing.T) {
 
 // TestServerTopKNodeParity pins the node accounting of the batch-of-one
 // TopK: on a memory server each call advances Stats().NodesVisited by
-// exactly the nodes topk.SearchAppend reads over mem.Build of the same
-// items, with the same answer. The benchmark's traced replay compares the
-// two per query and relies on this.
+// exactly the nodes a resumable topk.Searcher reads over mem.Build of the
+// same items when drained k deep, with the same answer. The benchmark's
+// traced replay compares Server.TopK with topk.SearchAppend per query and
+// relies on this.
 func TestServerTopKNodeParity(t *testing.T) {
 	const d = 4
 	objs := serveObjects(5000, d, 86)
@@ -254,12 +255,21 @@ func TestServerTopKNodeParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			var c stats.Counters
-			want, err := topk.SearchAppend(nil, ix, &f, k, &c)
-			if err != nil {
-				t.Fatal(err)
+			srch := topk.AcquireSearcher(ix, &f, &c)
+			var want []topk.Result
+			for len(want) < k {
+				r, ok, err := srch.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				want = append(want, r)
 			}
+			srch.Release()
 			if nodes != c.NodesVisited {
-				t.Fatalf("k=%d query %d: Server.TopK visited %d nodes, topk.SearchAppend %d", k, q.ID, nodes, c.NodesVisited)
+				t.Fatalf("k=%d query %d: Server.TopK visited %d nodes, a drained Searcher %d", k, q.ID, nodes, c.NodesVisited)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("k=%d query %d: %d results, want %d", k, q.ID, len(got), len(want))

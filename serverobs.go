@@ -228,8 +228,11 @@ func (m *serverMetrics) registerDynamic(s *Server) {
 	}
 }
 
-// registerSharded exports per-shard fan-out accounting and the skew ratio —
-// the re-partitioning signal — when the server runs on the composite.
+// registerSharded exports per-shard search accounting and the skew ratio —
+// the re-partitioning signal — when the server runs on the composite. The
+// counts are settled per recorded request (each ≤64-query chunk of a batch
+// records on its own) from the walks it ran over the composite snapshot:
+// top-k, session walks and skyline.
 func (m *serverMetrics) registerSharded(s *Server) {
 	if s.sh == nil {
 		return
@@ -239,20 +242,17 @@ func (m *serverMetrics) registerSharded(s *Server) {
 		shard := i
 		label := strconv.Itoa(i)
 		m.reg.CounterFunc("pm_shard_queries_total",
-			"Ranked fan-outs that searched this shard.",
+			"Requests (top-k chunks, session walks, skylines) whose walks entered this shard.",
 			func() int64 { return sh.ShardLoadAt(shard).Queries }, "shard", label)
 		m.reg.CounterFunc("pm_shard_pruned_total",
-			"Ranked fan-outs that skipped this shard whole on its MBR bound.",
+			"Requests (top-k chunks, session walks, skylines) whose walks read the synthetic root but skipped this shard whole on its MBR bound.",
 			func() int64 { return sh.ShardLoadAt(shard).Pruned }, "shard", label)
-		m.reg.GaugeFunc("pm_shard_busy_seconds",
-			"Cumulative search wall clock spent in this shard.",
-			func() float64 { return sh.ShardLoadAt(shard).Busy.Seconds() }, "shard", label)
 		m.reg.GaugeFunc("pm_shard_objects",
 			"Objects currently in this shard.",
 			func() float64 { return float64(sh.ShardSizes()[shard]) }, "shard", label)
 	}
 	m.reg.GaugeFunc("pm_shard_query_skew",
-		"Max/mean of per-shard query counts; 1.0 is a balanced fan-out.",
+		"Max/mean of per-shard query counts; 1.0 is a balanced load.",
 		sh.QuerySkew)
 }
 

@@ -4,6 +4,7 @@
 package prefmatch_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -62,10 +63,10 @@ func TestServerStatsMergeConcurrentSharded(t *testing.T) {
 	}
 }
 
-// TestServerShardedTopKConcurrent hammers the per-shard fan-out path from
-// many goroutines (each request spawns its own shard workers) and checks
-// that the request count and the pruning counter survive the merge.
-// Primarily a -race target for the nested parallelism.
+// TestServerShardedTopKConcurrent hammers the sharded top-k path — walks
+// over pooled composite snapshots — from many goroutines and checks that
+// the request count and the pruning counter survive the merge. Primarily a
+// -race target for the per-shard accounting the walks settle.
 func TestServerShardedTopKConcurrent(t *testing.T) {
 	const d = 3
 	objs := serveObjects(900, d, 331)
@@ -120,3 +121,59 @@ var errMismatch = errConst("sharded top-k differs from the sequential answer")
 type errConst string
 
 func (e errConst) Error() string { return string(e) }
+
+// TestShardAccountingExact pins the per-request shard accounting of a
+// spatially sharded server: Stats.ShardsPruned, pm_shard_queries_total and
+// pm_shard_pruned_total. The objects lie on the diagonal (t, t), so the
+// spatial partitioner puts the i-th quarter of t into shard i and every
+// positive-weight query ranks by t alone, which makes the shards each walk
+// must enter known: TopK with k = 1 stays in shard 3, k = n/4+1 also needs
+// shard 2's best, k = n enters all four, and k = 0 reads nothing. Skyline
+// (only the top point is undominated) and a session's first walk (2k+8 = 10
+// deep) enter shard 3 alone; the session's repeat is answered without a
+// walk and settles nothing.
+func TestShardAccountingExact(t *testing.T) {
+	const n = 400
+	objs := make([]prefmatch.Object, n)
+	for i := range objs {
+		v := float64(i+1) / n
+		objs[i] = prefmatch.Object{ID: i, Values: []float64{v, v}}
+	}
+	srv, err := prefmatch.NewServer(objs, &prefmatch.Options{Shards: 4, ShardBy: prefmatch.ShardSpatial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	q := prefmatch.Query{ID: 1, Weights: []float64{0.3, 0.7}}
+	for _, k := range []int{1, n/4 + 1, n, 0} {
+		if _, err := srv.TopK(q, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := srv.Skyline(); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.OpenSession(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 2; call++ {
+		if _, err := sess.TopK(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantQueries := []float64{1, 1, 2, 5}
+	wantPruned := []float64{4, 4, 3, 0}
+	for s := range wantQueries {
+		label := fmt.Sprintf(`{shard="%d"}`, s)
+		if got := metricValue(t, srv, "pm_shard_queries_total"+label); got != wantQueries[s] {
+			t.Errorf("shard %d searched %v times, want %v", s, got, wantQueries[s])
+		}
+		if got := metricValue(t, srv, "pm_shard_pruned_total"+label); got != wantPruned[s] {
+			t.Errorf("shard %d pruned %v times, want %v", s, got, wantPruned[s])
+		}
+	}
+	if got := srv.Stats().ShardsPruned; got != 11 {
+		t.Errorf("Stats.ShardsPruned = %d, want 11", got)
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"prefmatch/internal/index"
 	"prefmatch/internal/prefs"
 	"prefmatch/internal/rescache"
-	"prefmatch/internal/topk"
 	"prefmatch/internal/vec"
 )
 
@@ -42,10 +41,12 @@ import (
 // bound, while the gap between rank k and rank n absorbs real nudges. On a
 // re-qualified serve the threshold inflates by Δ (the bound itself stays an
 // outside bound), so repeated nudges degrade it gradually until a fallback
-// walk refreshes the state. The fallback is a ranked walk seeded with the
-// re-scored n-th as a score floor (topk.Searcher.SetFloor) — still
-// bit-identical, just cheaper than a cold walk. Every path is exact: each
-// session answer is bit-identical to a cold Server.TopK at the same epoch.
+// walk refreshes the state. The fallback is the server's one ranked search
+// (searchSnapshot), n deep over the pinned snapshot: a bounded best-first
+// walk reads only the nodes whose bound reaches the final n-th score, so no
+// floor carried over from the retained set could save it a read. Every path
+// is exact: each session answer is bit-identical to a cold Server.TopK at
+// the same epoch.
 //
 // # The result cache
 //
@@ -77,8 +78,14 @@ const reqSlack = 1e-9
 // sessionFetch is how deep a linear session's walk goes for a top-k
 // request: the extra ranks are the re-qualification headroom (see the file
 // comment). Linear in k so the rescoring work stays proportional to the
-// request.
-func sessionFetch(k int) int { return 2*k + 8 }
+// request, and saturating at math.MaxInt, where the walk returns every live
+// object.
+func sessionFetch(k int) int {
+	if k > (math.MaxInt-8)/2 {
+		return math.MaxInt
+	}
+	return 2*k + 8
+}
 
 // Session is one user's standing preference against a Server: open it once,
 // revise the weights with Nudge as the user's taste drifts, and call TopK
@@ -267,7 +274,7 @@ func (sess *Session) Close() error {
 
 // topKAppend is the session serving path: one admitted request, served and
 // traced by serve as op "session_topk", answered by the hit → re-qualify →
-// seeded-walk ladder.
+// walk ladder.
 func (sess *Session) topKAppend(tok cancel.Token, dst []Assignment, k int) (_ []Assignment, err error) {
 	s := sess.srv
 	if sess.closed.Load() {
@@ -313,12 +320,12 @@ func snapshotEpoch(snap index.ObjectIndex) uint64 {
 }
 
 // answer serves one session top-k at the given epoch. Linear sessions try
-// the result cache, then incremental re-qualification, then a floor-seeded
-// walk; monotone sessions always walk.
+// the result cache, then incremental re-qualification, then a walk;
+// monotone sessions always walk.
 func (sess *Session) answer(tok cancel.Token, sc *serveScratch, dst []Assignment, k int, epoch uint64) ([]Assignment, error) {
 	s := sess.srv
 	if !sess.isLinear {
-		return sess.walk(tok, sc, dst, k, epoch, 0, false)
+		return sess.walk(tok, sc, dst, k, epoch)
 	}
 	w := []float64(sess.fn.Weights)
 
@@ -336,8 +343,6 @@ func (sess *Session) answer(tok cancel.Token, sc *serveScratch, dst []Assignment
 	}
 
 	// 2. Incremental re-qualification against the retained candidates.
-	floor := math.Inf(-1)
-	haveFloor := false
 	if sess.prevValid && sess.prevEpoch == epoch {
 		n := len(sess.prev.IDs)
 		if n > 0 && weightsEqual(sess.prevWeights, w) && (sess.prevComplete || k <= sess.prevProven) {
@@ -379,20 +384,11 @@ func (sess *Session) answer(tok cancel.Token, sc *serveScratch, dst []Assignment
 				}
 				return sess.appendPrev(dst, k), nil
 			}
-			if n >= sessionFetch(k) {
-				// The re-scored fetch-depth-th of the still-live candidates
-				// is a valid floor for the fallback walk: the true m-th
-				// overall is at least the m-th best of any m-subset, so a
-				// walk pruned at this floor still yields its full fetch
-				// depth, bit-identically.
-				floor = ns[ord[sessionFetch(k)-1]]
-				haveFloor = true
-			}
 		}
 	}
 
-	// 3. Seeded (or cold) walk.
-	return sess.walk(tok, sc, dst, k, epoch, floor, haveFloor)
+	// 3. Walk.
+	return sess.walk(tok, sc, dst, k, epoch)
 }
 
 // commitPrev re-bases the retained candidates onto the current weights
@@ -471,63 +467,32 @@ func (sess *Session) appendPrev(dst []Assignment, k int) []Assignment {
 	return dst
 }
 
-// walk answers by ranked search over the pinned snapshot — the same
-// traversal as Server.TopK, single-searcher on every backend (on a sharded
-// server the composite snapshot is walked through its synthetic root, which
-// yields the identical canonical order as the fan-out path). With haveFloor
-// set, entries bounded below floor are pruned at the heap (see
-// topk.Searcher.SetFloor); the result is still bit-identical, the walk just
-// expands less. Linear sessions adopt the walked answer as incremental
-// state and publish it to the result cache.
-func (sess *Session) walk(tok cancel.Token, sc *serveScratch, dst []Assignment, k int, epoch uint64, floor float64, haveFloor bool) ([]Assignment, error) {
+// walk answers by the server's one ranked search (searchSnapshot) over the
+// pinned snapshot — the walk a cold Server.TopK runs, fetch deep instead of
+// k deep (on a sharded server, through the composite's synthetic root).
+// Linear sessions adopt the walked answer as incremental state and publish
+// it to the result cache.
+func (sess *Session) walk(tok cancel.Token, sc *serveScratch, dst []Assignment, k int, epoch uint64) ([]Assignment, error) {
 	s := sess.srv
-	var p prefs.Preference
-	if sess.isLinear {
-		p = &sess.fn // pointer boxing: allocation-free, recognised by prefs.Linear
-	} else {
-		p = sess.pref
-	}
 	fetch := k
 	if sess.isLinear {
-		fetch = sessionFetch(k) // over-fetch: re-qualification headroom
+		sc.fns = append(sc.fns, &sess.fn) // pointer boxing: allocation-free, recognised by prefs.Linear
+		fetch = sessionFetch(k)           // over-fetch: re-qualification headroom
+	} else {
+		sc.fns = append(sc.fns, sess.pref)
 	}
-	for {
-		srch := topk.AcquireSearcher(sc.snap, p, &sc.c)
-		srch.SetCancel(tok)
-		if haveFloor {
-			srch.SetFloor(floor)
-		}
-		sess.tmpIDs = sess.tmpIDs[:0]
-		sess.tmpCoords = sess.tmpCoords[:0]
-		sess.tmpScores = sess.tmpScores[:0]
-		sess.tmpSums = sess.tmpSums[:0]
-		var werr error
-		for len(sess.tmpIDs) < fetch {
-			r, ok, err := srch.Next()
-			if err != nil {
-				werr = err
-				break
-			}
-			if !ok {
-				break
-			}
-			sess.tmpIDs = append(sess.tmpIDs, r.ID)
-			sess.tmpCoords = append(sess.tmpCoords, r.Point...)
-			sess.tmpScores = append(sess.tmpScores, r.Score)
-			sess.tmpSums = append(sess.tmpSums, r.Point.Sum())
-		}
-		srch.Release()
-		if werr != nil {
-			return dst, werr
-		}
-		if haveFloor && len(sess.tmpIDs) < fetch {
-			// The floor is provably below the true fetch-th, so a floored
-			// walk running dry early should be impossible; re-walk unfloored
-			// rather than trust the proof over an unforeseen float edge.
-			haveFloor = false
-			continue
-		}
-		break
+	if err := searchSnapshot(sc, sc.fns, fetch, tok); err != nil {
+		return dst, err
+	}
+	sess.tmpIDs = sess.tmpIDs[:0]
+	sess.tmpCoords = sess.tmpCoords[:0]
+	sess.tmpScores = sess.tmpScores[:0]
+	sess.tmpSums = sess.tmpSums[:0]
+	for _, r := range sc.rbuf {
+		sess.tmpIDs = append(sess.tmpIDs, r.ID)
+		sess.tmpCoords = append(sess.tmpCoords, r.Point...)
+		sess.tmpScores = append(sess.tmpScores, r.Score)
+		sess.tmpSums = append(sess.tmpSums, r.Point.Sum())
 	}
 	m := len(sess.tmpIDs)
 	out := m

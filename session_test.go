@@ -1,6 +1,6 @@
 // Tests for the preference-session layer and the unified Preference entry
 // points: sessions must answer bit-identically to cold requests however
-// the answer was produced (cache hit, re-qualification, seeded walk), and
+// the answer was produced (cache hit, re-qualification, walk), and
 // TopKPref must agree exactly with the concretely-typed TopK/TopKMonotone.
 package prefmatch_test
 
@@ -67,6 +67,46 @@ func metricValue(t *testing.T, srv *prefmatch.Server, name string) float64 {
 	}
 	t.Fatalf("metric %s not found in WriteMetrics output", name)
 	return 0
+}
+
+// TestSessionTopKHugeK is the regression test for the session fetch depth
+// overflowing: 2k+8 was unbounded, so on a 100-object server
+// Session.TopK(1<<62) returned no rows, k = MaxInt-3 failed with an
+// index-out-of-range worker panic and k = MaxInt returned 6 rows. Every
+// huge k must return what Server.TopK returns — all 100 rows — on the walk
+// that answers a fresh session and on the repeat that the session answers
+// from its retained state.
+func TestSessionTopKHugeK(t *testing.T) {
+	objs := sessionObjects(100, 3, 5)
+	srv, err := prefmatch.NewServer(objs, &prefmatch.Options{Backend: prefmatch.Memory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	q := prefmatch.Query{ID: 9, Weights: []float64{0.5, 0.3, 0.2}}
+	for _, k := range []int{1 << 40, 1 << 62, math.MaxInt - 3, math.MaxInt} {
+		want, err := srv.TopK(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != len(objs) {
+			t.Fatalf("k=%d: Server.TopK returned %d rows, want %d", k, len(want), len(objs))
+		}
+		sess, err := srv.OpenSession(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 0; call < 2; call++ {
+			got, err := sess.TopK(k)
+			if err != nil {
+				t.Fatalf("k=%d call %d: %v", k, call, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("k=%d call %d: Session.TopK returned %d rows, Server.TopK %d", k, call, len(got), len(want))
+			}
+		}
+		sess.Close()
+	}
 }
 
 // TestTopKPrefEquivalence pins every top-k entry point to one answer. On
@@ -354,7 +394,7 @@ func TestSessionServesAllPaths(t *testing.T) {
 	}
 
 	// 4. Large swing: the delta bound cannot be beaten, so the session
-	// falls back to a (floor-seeded) walk.
+	// falls back to a walk.
 	if err := sess.Nudge([]float64{0.2, 0.3, 0.5}); err != nil {
 		t.Fatal(err)
 	}
