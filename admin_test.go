@@ -139,7 +139,7 @@ func TestAdminEndpoints(t *testing.T) {
 }
 
 // TestAdminViaOptions checks Options.AdminAddr starts the listener during
-// construction — the path the CLI and benchfig use.
+// construction — the path `prefmatch serve -admin` uses.
 func TestAdminViaOptions(t *testing.T) {
 	srv := servingFixture(t, &Options{AdminAddr: "127.0.0.1:0"})
 	addr := srv.AdminAddr()

@@ -244,22 +244,117 @@ func TestChaosShedNeverTouchesSnapshot(t *testing.T) {
 	wg.Wait()
 }
 
-// A context canceled before the call starts must be refused at admission,
-// without touching the index.
+// A context canceled before the call starts must be refused at admission by
+// every *Context method, reads and writes alike: the error names the
+// admission stage, Stats().Canceled counts the call, and the request pins
+// no snapshot, reads no node and applies no write. Each call runs against a
+// static server wrapped in the fault injector (whose counters observe pins
+// and reads) and against a Dynamic server (where a write would land).
 func TestChaosCanceledBeforeAdmission(t *testing.T) {
-	srv, fix := newFaultyServer(t, 100, nil)
 	ctx, cancelFn := context.WithCancel(context.Background())
 	cancelFn()
-	pins := fix.Calls(faulty.SitePin)
-	_, err := srv.TopKContext(ctx, chaosQuery(1), 5)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("pre-canceled TopKContext: err = %v, want ErrCanceled", err)
+	q := chaosQuery(1)
+	obj := Object{ID: 7, Values: []float64{0.5, 0.5}}
+	calls := []struct {
+		name string
+		call func(s *Server, sess *Session) error
+	}{
+		{"MatchContext", func(s *Server, _ *Session) error {
+			_, err := s.MatchContext(ctx, []Query{q}, nil)
+			return err
+		}},
+		{"MatchManyContext", func(s *Server, _ *Session) error {
+			_, err := s.MatchManyContext(ctx, [][]Query{{q}, {chaosQuery(2)}}, nil, 2)
+			return err
+		}},
+		{"TopKContext", func(s *Server, _ *Session) error {
+			_, err := s.TopKContext(ctx, q, 5)
+			return err
+		}},
+		{"TopKMonotoneContext", func(s *Server, _ *Session) error {
+			_, err := s.TopKMonotoneContext(ctx, PreferenceQuery{ID: 1, Preference: LinearPreference{Weights: q.Weights}}, 5)
+			return err
+		}},
+		{"TopKPrefContext", func(s *Server, _ *Session) error {
+			_, err := s.TopKPrefContext(ctx, q, 5)
+			return err
+		}},
+		{"TopKManyContext", func(s *Server, _ *Session) error {
+			_, err := s.TopKManyContext(ctx, []Query{q, chaosQuery(2)}, 5, 2)
+			return err
+		}},
+		{"TopKManyAppendContext", func(s *Server, _ *Session) error {
+			_, _, err := s.TopKManyAppendContext(ctx, nil, nil, []Query{q, chaosQuery(2)}, 5)
+			return err
+		}},
+		{"SkylineContext", func(s *Server, _ *Session) error {
+			_, err := s.SkylineContext(ctx)
+			return err
+		}},
+		{"InsertContext", func(s *Server, _ *Session) error {
+			return s.InsertContext(ctx, Object{ID: 1000, Values: []float64{0.5, 0.5}})
+		}},
+		{"UpdateContext", func(s *Server, _ *Session) error { return s.UpdateContext(ctx, obj) }},
+		{"RemoveContext", func(s *Server, _ *Session) error { return s.RemoveContext(ctx, obj.ID) }},
+		{"CompactContext", func(s *Server, _ *Session) error { return s.CompactContext(ctx) }},
+		{"Session.TopKContext", func(_ *Server, sess *Session) error {
+			_, err := sess.TopKContext(ctx, 5)
+			return err
+		}},
+		{"Session.TopKAppendContext", func(_ *Server, sess *Session) error {
+			_, err := sess.TopKAppendContext(ctx, nil, 5)
+			return err
+		}},
 	}
-	if !strings.Contains(err.Error(), "admission") {
-		t.Fatalf("pre-canceled error does not name the admission stage: %v", err)
+
+	static, fix := newFaultyServer(t, 100, nil)
+	dyn, err := NewServer(chaosObjects(100, 2), &Options{Backend: Dynamic, SlowQueryLog: io.Discard})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := fix.Calls(faulty.SitePin); got != pins {
-		t.Fatalf("canceled request pinned a snapshot: %d -> %d", pins, got)
+	// One write ahead of the table leaves a resident delta for Compact.
+	if err := dyn.Update(Object{ID: 3, Values: []float64{0.25, 0.75}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, srv := range []struct {
+		name string
+		s    *Server
+		fix  *faulty.Index
+	}{{"static", static, fix}, {"dynamic", dyn, nil}} {
+		sess, err := srv.s.OpenSession(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range calls {
+			before := srv.s.Stats()
+			var pins, reads, refills int64
+			if srv.fix != nil {
+				pins, reads, refills = srv.fix.Calls(faulty.SitePin), srv.fix.Calls(faulty.SiteRead), srv.fix.Calls(faulty.SiteRefill)
+			}
+			err := c.call(srv.s, sess)
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("%s %s: err = %v, want ErrCanceled", srv.name, c.name, err)
+			}
+			if !strings.Contains(err.Error(), "admission") {
+				t.Fatalf("%s %s: error does not name the admission stage: %v", srv.name, c.name, err)
+			}
+			after := srv.s.Stats()
+			if after.Canceled != before.Canceled+1 {
+				t.Fatalf("%s %s: Stats().Canceled %d -> %d, want one more", srv.name, c.name, before.Canceled, after.Canceled)
+			}
+			if after.Epoch != before.Epoch || after.DeltaSize != before.DeltaSize || srv.s.Len() != 100 {
+				t.Fatalf("%s %s: canceled call changed the index: epoch %d -> %d, delta %d -> %d, len %d",
+					srv.name, c.name, before.Epoch, after.Epoch, before.DeltaSize, after.DeltaSize, srv.s.Len())
+			}
+			if srv.fix != nil {
+				if got := srv.fix.Calls(faulty.SitePin); got != pins {
+					t.Fatalf("%s %s: canceled call pinned a snapshot: %d -> %d", srv.name, c.name, pins, got)
+				}
+				if r, f := srv.fix.Calls(faulty.SiteRead), srv.fix.Calls(faulty.SiteRefill); r != reads || f != refills {
+					t.Fatalf("%s %s: canceled call read nodes: live %d -> %d, snapshot %d -> %d", srv.name, c.name, reads, r, refills, f)
+				}
+			}
+		}
 	}
 }
 

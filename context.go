@@ -9,14 +9,17 @@ import (
 // This file is the context-accepting face of the Server: every serving and
 // write method has a *Context variant that honours ctx's deadline and
 // cancellation cooperatively. The token distilled from ctx is checked at
-// admission, at every fan-out worker start, and immediately before every
-// node read inside traversal — so an abandoned request stops within about
-// one node expansion without leaking its pooled searcher or snapshot.
+// admission, immediately before every node read inside traversal, before
+// every pair a matching wave emits, once before a skyline pass, after
+// traversal before a read's answer is emitted, and after a write takes the
+// write lock — so an abandoned request stops within about one node
+// expansion without leaking its pooled searcher or snapshot.
 //
 // Abandoned requests fail with an error that unwraps to ErrCanceled or
 // ErrDeadlineExceeded (matching ctx.Err()) and whose message names the
-// stage that observed the abandonment ("admission", "shard.fanout",
-// "topk.traverse", "wave.next", "skyline.compute", "write.apply").
+// stage that observed the abandonment ("admission", "topk.traverse",
+// "wave.next", "skyline.compute", "topk.emit", "serve.emit",
+// "write.apply").
 //
 // The non-context methods are exactly these with a context that never
 // fires; a context.Background() ctx costs nothing on the hot path.

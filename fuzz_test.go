@@ -239,9 +239,9 @@ func sameRanking(got, want []Assignment) bool {
 
 // FuzzTopKAgreesWithOracle checks batched and single top-k against the
 // brute-force oracle on three serving configurations: Memory, Dynamic after
-// the decoded updates, and Memory split into 3 shards. TopKManyAppend and
-// every query's TopK must match the oracle bit for bit. The seed corpus
-// lives in testdata/fuzz.
+// the decoded updates, and Memory split into 3 shards. TopKManyAppend,
+// TopKMany with 1 and 3 workers, and every query's TopK must match the
+// oracle bit for bit. The seed corpus lives in testdata/fuzz.
 func FuzzTopKAgreesWithOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, ok := decodeTopKInput(data)
@@ -276,10 +276,21 @@ func FuzzTopKAgreesWithOracle(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: TopKManyAppend: %v", cfg.name, err)
 			}
+			many := map[int][][]Assignment{}
+			for _, w := range []int{1, 3} {
+				if many[w], err = srv.TopKMany(in.qs, in.k, w); err != nil {
+					t.Fatalf("%s: TopKMany workers=%d: %v", cfg.name, w, err)
+				}
+			}
 			for i, q := range in.qs {
 				want := oracleTopK(cfg.objs, q, in.k)
 				if got := flat[offs[i]:offs[i+1]]; !sameRanking(got, want) {
 					t.Fatalf("%s: TopKManyAppend query %d (k=%d):\n got %v\nwant %v", cfg.name, i, in.k, got, want)
+				}
+				for w, sliced := range many {
+					if got := sliced[i]; !sameRanking(got, want) {
+						t.Fatalf("%s: TopKMany workers=%d query %d (k=%d):\n got %v\nwant %v", cfg.name, w, i, in.k, got, want)
+					}
 				}
 				got, err := srv.TopK(q, in.k)
 				if err != nil {

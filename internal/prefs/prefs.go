@@ -68,28 +68,16 @@ var (
 // NewFunction builds a linear preference function from raw non-negative
 // weights, normalising them to sum to exactly 1 (within float rounding).
 func NewFunction(id int, weights []float64) (Function, error) {
-	if len(weights) == 0 {
-		return Function{}, ErrNoWeights
-	}
-	sum := 0.0
-	for _, w := range weights {
-		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return Function{}, fmt.Errorf("%w: %v", ErrBadWeight, w)
-		}
-		if w < 0 {
-			return Function{}, fmt.Errorf("%w: %v", ErrNegativeWeight, w)
-		}
-		sum += w
-	}
-	if sum == 0 {
-		return Function{}, ErrZeroWeights
-	}
-	norm := make(vec.Point, len(weights))
-	for i, w := range weights {
-		norm[i] = w / sum
-	}
-	return Function{ID: id, Weights: norm}, nil
+	f, _, err := AppendFunction(make(vec.Point, 0, len(weights)), id, weights)
+	return f, err
 }
+
+// overflowScale rescales weights whose sum overflows float64. Multiplying
+// by a power of two is exact, so the normalised weights are bit-identical
+// to those of the same preference written at a smaller scale; and with
+// every weight below 2^1024, the rescaled sum of any slice that fits in
+// memory is finite.
+const overflowScale = 0x1p-64
 
 // AppendFunction is the allocation-free form of NewFunction: the normalised
 // weights are appended to arena and the returned function's Weights alias the
@@ -114,11 +102,18 @@ func AppendFunction(arena vec.Point, id int, weights []float64) (Function, vec.P
 	if sum == 0 {
 		return Function{}, arena, ErrZeroWeights
 	}
+	scale := 1.0
+	if math.IsInf(sum, 1) {
+		// Finite weights whose sum overflows: w/+Inf would zero them all.
+		scale, sum = overflowScale, 0
+		for _, w := range weights {
+			sum += w * scale
+		}
+	}
 	base := len(arena)
 	for _, w := range weights {
-		// Same normalisation expression as NewFunction, so the resulting
-		// weights — and every downstream score — are bit-identical.
-		arena = append(arena, w/sum)
+		// w*1 is w exactly, so a finite sum keeps its bits.
+		arena = append(arena, w*scale/sum)
 	}
 	return Function{ID: id, Weights: arena[base:len(arena):len(arena)]}, arena, nil
 }

@@ -46,6 +46,40 @@ func TestNewFunctionErrors(t *testing.T) {
 	}
 }
 
+// Finite weights whose sum overflows float64 normalise like the same
+// preference written at a smaller scale, bit for bit, instead of dividing
+// by +Inf into all-zero weights.
+func TestNewFunctionOverflowingSum(t *testing.T) {
+	small := []float64{1.5, 1.25, 0.75, 0.5}
+	huge := make([]float64, len(small))
+	for i, w := range small {
+		huge[i] = math.Ldexp(w, 1023) // finite, but the sum overflows
+	}
+	want, err := NewFunction(1, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewFunction(1, huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := vec.Point{42}
+	app, arena, err := AppendFunction(arena, 1, huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if arena[0] != 42 || len(arena) != 1+len(huge) {
+		t.Fatalf("AppendFunction arena = %v, want 42 followed by the weights", arena)
+	}
+	for i := range small {
+		w := math.Float64bits(want.Weights[i])
+		if math.Float64bits(got.Weights[i]) != w || math.Float64bits(app.Weights[i]) != w {
+			t.Fatalf("weight %d: NewFunction %v, AppendFunction %v, want %v",
+				i, got.Weights[i], app.Weights[i], want.Weights[i])
+		}
+	}
+}
+
 func TestMustFunctionPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

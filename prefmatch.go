@@ -526,8 +526,8 @@ var (
 
 // Sentinel errors of the Server's production-hardening surface, for
 // errors.Is. Cancellation errors are wrapped with the pipeline stage that
-// observed them (admission, topk.traverse, shard.fanout, wave.next) but
-// always unwrap to these sentinels.
+// observed them (admission, topk.traverse, wave.next, skyline.compute,
+// topk.emit, serve.emit, write.apply) but always unwrap to these sentinels.
 var (
 	// ErrCanceled reports a request abandoned because its context was
 	// canceled. Alias of context.Canceled, so either sentinel matches.
