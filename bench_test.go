@@ -22,7 +22,6 @@ import (
 	"prefmatch/internal/index"
 	"prefmatch/internal/index/mem"
 	"prefmatch/internal/index/paged"
-	"prefmatch/internal/index/sharded"
 	"prefmatch/internal/prefs"
 	"prefmatch/internal/skyline"
 	"prefmatch/internal/stats"
@@ -460,14 +459,12 @@ func BenchmarkServeMatchWaves(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedMatchWave measures the shard-parallel matching wave
-// (sharded.MatchWave) on clustered data: SB waves served through the
-// sharded Server (which routes Match through the wave), and one BruteForce
-// wave over the composite with pruned/op — candidate streams never opened
-// because their shard MBR bound could not reach the function's best head.
-// Results are bit-identical across rows (enforced by the cross-shard wave
+// BenchmarkShardedMatch measures SB waves served by MatchMany on clustered
+// data, unsharded and over composites of several shard counts and
+// partitioners. Every wave is one walk over a pooled composite snapshot;
+// results are bit-identical across rows (enforced by the cross-shard
 // equivalence tests).
-func BenchmarkShardedMatchWave(b *testing.B) {
+func BenchmarkShardedMatch(b *testing.B) {
 	const (
 		d        = 3
 		waveSize = 50
@@ -511,34 +508,6 @@ func BenchmarkShardedMatchWave(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(nWaves)*float64(b.N)/b.Elapsed().Seconds(), "waves/s")
-		})
-	}
-	bfFns := dataset.Functions(benchFunctions, d, 68)
-	for _, cfg := range configs {
-		if cfg.shards == 0 {
-			continue
-		}
-		b.Run("BF/"+cfg.name, func(b *testing.B) {
-			var part sharded.Partitioner = sharded.Spatial{}
-			if cfg.shardBy == prefmatch.ShardHash {
-				part = sharded.Hash{}
-			}
-			ix, err := sharded.Build(d, items, &sharded.Options{Shards: cfg.shards, Partitioner: part})
-			if err != nil {
-				b.Fatal(err)
-			}
-			c := &stats.Counters{}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pairs, err := ix.MatchWave(bfFns, &core.Options{Algorithm: core.AlgBruteForce}, 1, c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(pairs) != len(bfFns) {
-					b.Fatalf("%d pairs for %d functions", len(pairs), len(bfFns))
-				}
-			}
-			b.ReportMetric(float64(c.ShardsPruned)/float64(b.N), "pruned/op")
 		})
 	}
 }

@@ -34,12 +34,9 @@
 // the object index across N sub-indexes (the sharded composite backend);
 // topk then walks the composite once per chunk of queries, skipping every
 // shard whose bounding box cannot reach an answer (reported as
-// shardsPruned on stderr); -parallel spreads those chunks. match
-// additionally accepts -shard-match
-// (with -shards and -backend memory) to run the matching wave itself
-// shard-parallel: the algorithm's global loop at the merge point, per-shard
-// snapshots searched concurrently, candidate streams pruned by shard MBR.
-// The results are bit-identical to the unsharded run in every mode.
+// shardsPruned on stderr); -parallel spreads those chunks. match walks the
+// composite like any other tree. The results are bit-identical to the
+// unsharded run in every mode.
 //
 // CSV rows are "id,v1,v2,...". Run any subcommand with -h for its flags.
 package main
@@ -185,7 +182,6 @@ func cmdMatch(args []string) error {
 	naiveTA := fs.Bool("naive-threshold", false, "use the naive TA threshold (sb only)")
 	shards := fs.Int("shards", 0, "shard the object index across N sub-indexes (0 = single index)")
 	shardBy := fs.String("shard-by", "spatial", "spatial | hash | rr (partitioner when -shards > 0)")
-	shardMatch := fs.Bool("shard-match", false, "run the matching wave shard-parallel over per-shard snapshots (requires -shards and -backend memory; bit-identical results)")
 	out := fs.String("out", "", "pairs CSV output (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -238,7 +234,6 @@ func cmdMatch(args []string) error {
 		return fmt.Errorf("unknown maintenance mode %q", *maint)
 	}
 	opts.Shards = *shards
-	opts.ShardMatch = *shardMatch
 	if opts.ShardBy, err = parseShardBy(*shardBy); err != nil {
 		return err
 	}
@@ -258,9 +253,9 @@ func cmdMatch(args []string) error {
 		return err
 	}
 	s := res.Stats
-	fmt.Fprintf(os.Stderr, "pairs=%d io=%d (r=%d w=%d hits=%d) top1=%d ta=%d skyUpdates=%d skyMax=%d loops=%d shardsPruned=%d elapsed=%v\n",
+	fmt.Fprintf(os.Stderr, "pairs=%d io=%d (r=%d w=%d hits=%d) top1=%d ta=%d skyUpdates=%d skyMax=%d loops=%d elapsed=%v\n",
 		s.Pairs, s.IOAccesses, s.PageReads, s.PageWrites, s.BufferHits,
-		s.Top1Searches, s.TAListAccesses, s.SkylineUpdates, s.SkylineMax, s.Loops, s.ShardsPruned, s.Elapsed)
+		s.Top1Searches, s.TAListAccesses, s.SkylineUpdates, s.SkylineMax, s.Loops, s.Elapsed)
 	return nil
 }
 

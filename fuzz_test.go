@@ -3,6 +3,7 @@ package prefmatch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -52,6 +53,22 @@ func (r *fuzzBytes) objects(n int) []Object {
 	return objs
 }
 
+// updates decodes up to n updates of objs: one byte choosing the object,
+// then D values.
+func (r *fuzzBytes) updates(objs []Object, n int) []Object {
+	var ups []Object
+	for ; n > 0 && len(r.rest) > 0; n-- {
+		o := objs[int(r.rest[0])%len(objs)]
+		r.rest = r.rest[1:]
+		vals, ok := r.values()
+		if !ok {
+			break
+		}
+		ups = append(ups, Object{ID: o.ID, Values: vals})
+	}
+	return ups
+}
+
 // queries decodes up to n queries with IDs 0, 1, ...; an all-zero weight
 // draw puts weight 1 on one attribute.
 func (r *fuzzBytes) queries(n int) []Query {
@@ -77,16 +94,22 @@ func (r *fuzzBytes) queries(n int) []Query {
 
 // decodeMatchInput turns fuzz bytes into a small matching instance: byte 0
 // picks D ∈ {2,3,4}, bytes 1 and 2 cap the object and function counts at 64
-// and 16, and the rest are consumed D at a time, objects first. ok is false
-// when the bytes do not describe at least one object and one function.
-func decodeMatchInput(data []byte) (objs []Object, qs []Query, ok bool) {
+// and 16, and the rest are consumed D at a time, objects first, then
+// functions. Up to 8 updates for the Dynamic servers follow (one byte
+// choosing the object, then D values); an input that ends with the
+// functions has none. ok is false when the bytes do not describe at least
+// one object and one function.
+func decodeMatchInput(data []byte) (objs []Object, qs []Query, updates []Object, ok bool) {
 	if len(data) < 3 {
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 	r := &fuzzBytes{rest: data[3:], d: 2 + int(data[0]%3)}
 	objs = r.objects(1 + int(data[1]%64))
 	qs = r.queries(1 + int(data[2]%16))
-	return objs, qs, len(objs) > 0 && len(qs) > 0
+	if len(objs) == 0 || len(qs) == 0 {
+		return nil, nil, nil, false
+	}
+	return objs, qs, r.updates(objs, 8), true
 }
 
 // matchingKey renders a matching order-independently, scores bit for bit.
@@ -103,10 +126,14 @@ func matchingKey(as []Assignment) string {
 // FuzzMatchAlgorithmsAgree checks that every matcher configuration returns
 // the same stable matching: SB under each skyline maintenance mode and
 // both TA thresholds, Brute Force and Chain. Verify must accept every
-// emission sequence. The seed corpus lives in testdata/fuzz.
+// emission sequence. Server.Match must then return one-shot SB's matching
+// bit for bit, in emission order, on four servers: Memory, Memory in 3
+// spatial shards, and Dynamic whole and in 3 shards, both after the
+// decoded updates (compared with one-shot SB over the updated objects).
+// The seed corpus lives in testdata/fuzz.
 func FuzzMatchAlgorithmsAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		objs, qs, ok := decodeMatchInput(data)
+		objs, qs, updates, ok := decodeMatchInput(data)
 		if !ok {
 			t.Skip()
 		}
@@ -140,6 +167,50 @@ func FuzzMatchAlgorithmsAgree(f *testing.F) {
 				t.Fatalf("%s disagrees with %s:\n got %s\nwant %s", cfg.name, configs[0].name, got, want)
 			}
 		}
+
+		updated := append([]Object(nil), objs...)
+		for _, u := range updates {
+			updated[u.ID] = u
+		}
+		servers := []struct {
+			name    string
+			opts    Options
+			updates []Object
+			objs    []Object
+		}{
+			{"server/memory", Options{Backend: Memory}, nil, objs},
+			{"server/memory/3 spatial shards", Options{Backend: Memory, Shards: 3, ShardBy: ShardSpatial}, nil, objs},
+			{"server/dynamic", Options{Backend: Dynamic}, updates, updated},
+			{"server/dynamic/3 shards", Options{Backend: Dynamic, Shards: 3}, updates, updated},
+		}
+		for _, cfg := range servers {
+			want, err := Match(cfg.objs, qs, nil)
+			if err != nil {
+				t.Fatalf("%s: one-shot SB: %v", cfg.name, err)
+			}
+			srv, err := NewServer(objs, &cfg.opts)
+			if err != nil {
+				t.Fatalf("%s: %v", cfg.name, err)
+			}
+			for _, u := range cfg.updates {
+				if err := srv.Update(u); err != nil {
+					t.Fatalf("%s: update %d: %v", cfg.name, u.ID, err)
+				}
+			}
+			res, err := srv.Match(qs, nil)
+			if err != nil {
+				t.Fatalf("%s: Match: %v", cfg.name, err)
+			}
+			if !sameRanking(res.Assignments, want.Assignments) {
+				t.Fatalf("%s: Server.Match differs from one-shot SB:\n got %v\nwant %v", cfg.name, res.Assignments, want.Assignments)
+			}
+			if err := Verify(cfg.objs, qs, res.Assignments); err != nil {
+				t.Fatalf("%s: Verify rejected the matching: %v", cfg.name, err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatalf("%s: Close: %v", cfg.name, err)
+			}
+		}
 	})
 }
 
@@ -171,15 +242,7 @@ func decodeTopKInput(data []byte) (in topKInput, ok bool) {
 	if len(in.objs) == 0 || len(in.qs) == 0 {
 		return in, false
 	}
-	for n := int(data[4] % 8); n > 0 && len(r.rest) > 0; n-- {
-		o := in.objs[int(r.rest[0])%len(in.objs)]
-		r.rest = r.rest[1:]
-		vals, more := r.values()
-		if !more {
-			break
-		}
-		in.updates = append(in.updates, Object{ID: o.ID, Values: vals})
-	}
+	in.updates = r.updates(in.objs, int(data[4]%8))
 	return in, true
 }
 
@@ -222,8 +285,8 @@ func oracleTopK(objs []Object, q Query, k int) []Assignment {
 	return out
 }
 
-// sameRanking reports whether two rankings agree entry for entry, scores
-// bit for bit.
+// sameRanking reports whether two rankings (or matchings in emission order)
+// agree entry for entry, scores bit for bit.
 func sameRanking(got, want []Assignment) bool {
 	if len(got) != len(want) {
 		return false
@@ -453,6 +516,174 @@ func FuzzSessionAgreesWithOracle(f *testing.F) {
 			if err := srv.Close(); err != nil {
 				t.Fatalf("%s: Close: %v", cfg.name, err)
 			}
+		}
+	})
+}
+
+// skylineWrite is one write the Dynamic server of FuzzSkylineAgreesWithOracle
+// applies: an insert of a new ID, an update, or a remove (values unused).
+type skylineWrite struct {
+	op  byte // writeInsert, writeUpdate or writeRemove
+	obj Object
+}
+
+const (
+	writeInsert byte = iota
+	writeUpdate
+	writeRemove
+)
+
+// decodeSkylineInput turns fuzz bytes into a skyline instance: byte 0 picks
+// D ∈ {2,3,4}, bytes 1 and 2 cap the object and write counts at 256 and
+// 16, and the rest is consumed as objects (D bytes each), then writes of
+// two bytes plus D values: op%3 picks insert (the next unused ID), update
+// or remove, and the second byte picks the live object an update or remove
+// targets. A write with no live object to target inserts. ok is false when
+// the bytes do not describe at least one object.
+func decodeSkylineInput(data []byte) (objs []Object, writes []skylineWrite, ok bool) {
+	if len(data) < 3 {
+		return nil, nil, false
+	}
+	r := &fuzzBytes{rest: data[3:], d: 2 + int(data[0]%3)}
+	objs = r.objects(1 + int(data[1]))
+	if len(objs) == 0 {
+		return nil, nil, false
+	}
+	live := make([]int, len(objs))
+	for i := range live {
+		live[i] = i
+	}
+	for n := int(data[2] % 17); n > 0 && len(r.rest) >= 2; n-- {
+		op, pick := r.rest[0]%3, int(r.rest[1])
+		r.rest = r.rest[2:]
+		vals, more := r.values()
+		if !more {
+			break
+		}
+		if len(live) == 0 {
+			op = writeInsert
+		}
+		w := skylineWrite{op: op, obj: Object{Values: vals}}
+		switch op {
+		case writeInsert:
+			w.obj.ID = len(objs) + len(writes)
+			live = append(live, w.obj.ID)
+		default:
+			i := pick % len(live)
+			w.obj.ID = live[i]
+			if op == writeRemove {
+				live = append(live[:i], live[i+1:]...)
+			}
+		}
+		writes = append(writes, w)
+	}
+	return objs, writes, true
+}
+
+// oracleSkyline is the brute-force reference for the skyline, sharing no
+// code with the index: Chomicki's winnow under Pareto preference, O(n²). An
+// object is kept unless another is at least as good in every attribute and
+// better in one, so duplicate points do not dominate each other. IDs come
+// back ascending, as Skyline returns them.
+func oracleSkyline(objs []Object) []int {
+	var out []int
+	for _, o := range objs {
+		dominated := false
+		for _, q := range objs {
+			ge, gt := true, false
+			for j, v := range q.Values {
+				ge = ge && v >= o.Values[j]
+				gt = gt || v > o.Values[j]
+			}
+			dominated = dominated || (ge && gt)
+		}
+		if !dominated {
+			out = append(out, o.ID)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// FuzzSkylineAgreesWithOracle checks every skyline path against
+// oracleSkyline: one-shot Skyline on the paged backend, whole and in 3
+// shards; Server.Skyline on Memory and on 1, 3 and 7 spatial shards; and
+// Server.Skyline on Dynamic before and after every one of the decoded
+// inserts, updates and removes, against the oracle over a mirror of the
+// live set. The seed corpus lives in testdata/fuzz.
+func FuzzSkylineAgreesWithOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		objs, writes, ok := decodeSkylineInput(data)
+		if !ok {
+			t.Skip()
+		}
+		want := oracleSkyline(objs)
+		for _, opts := range []Options{{}, {Shards: 3}} {
+			got, err := Skyline(objs, &opts)
+			if err != nil {
+				t.Fatalf("paged shards=%d: Skyline: %v", opts.Shards, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("paged shards=%d: Skyline = %v, want %v", opts.Shards, got, want)
+			}
+		}
+		for _, opts := range []Options{
+			{Backend: Memory},
+			{Shards: 1, ShardBy: ShardSpatial},
+			{Shards: 3, ShardBy: ShardSpatial},
+			{Shards: 7, ShardBy: ShardSpatial},
+		} {
+			srv, err := NewServer(objs, &opts)
+			if err != nil {
+				t.Fatalf("memory shards=%d: %v", opts.Shards, err)
+			}
+			got, err := srv.Skyline()
+			if err != nil {
+				t.Fatalf("memory shards=%d: Server.Skyline: %v", opts.Shards, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("memory shards=%d: Server.Skyline = %v, want %v", opts.Shards, got, want)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatalf("memory shards=%d: Close: %v", opts.Shards, err)
+			}
+		}
+
+		srv, err := NewServer(objs, &Options{Backend: Dynamic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := append([]Object(nil), objs...)
+		check := func(step int) {
+			got, err := srv.Skyline()
+			if err != nil {
+				t.Fatalf("dynamic after write %d: Server.Skyline: %v", step, err)
+			}
+			if want := oracleSkyline(live); !slices.Equal(got, want) {
+				t.Fatalf("dynamic after write %d: Server.Skyline = %v, want %v", step, got, want)
+			}
+		}
+		check(-1)
+		for i, w := range writes {
+			at := slices.IndexFunc(live, func(o Object) bool { return o.ID == w.obj.ID })
+			switch w.op {
+			case writeInsert:
+				err = srv.Insert(w.obj)
+				live = append(live, w.obj)
+			case writeUpdate:
+				err = srv.Update(w.obj)
+				live[at] = w.obj
+			case writeRemove:
+				err = srv.Remove(w.obj.ID)
+				live = slices.Delete(live, at, at+1)
+			}
+			if err != nil {
+				t.Fatalf("dynamic write %d (op %d, object %d): %v", i, w.op, w.obj.ID, err)
+			}
+			check(i)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatalf("dynamic: Close: %v", err)
 		}
 	})
 }

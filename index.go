@@ -1,13 +1,11 @@
 package prefmatch
 
 import (
-	"errors"
 	"fmt"
 
 	"prefmatch/internal/cancel"
 	"prefmatch/internal/core"
 	"prefmatch/internal/index"
-	"prefmatch/internal/index/sharded"
 	"prefmatch/internal/prefs"
 	"prefmatch/internal/skyline"
 	"prefmatch/internal/stats"
@@ -72,8 +70,7 @@ func (ix *Index) Backend() Backend { return ix.opts.Backend }
 // destructive algorithms are rejected with an error) and its storage
 // fields are ignored (fixed at BuildIndex time).
 func (ix *Index) Match(queries []Query, opts *Options) (*Result, error) {
-	res, _, err := matchWave(ix.ix, ix.capacities, queries, opts, cancel.Token{}, 0)
-	return res, err
+	return matchWave(ix.ix, ix.capacities, queries, opts, cancel.Token{}, &stats.Counters{})
 }
 
 // waveInputs is the shared validation prologue of a shared-index matching
@@ -105,52 +102,30 @@ func waveInputs(dim int, queries []Query, opts *Options) ([]prefs.Function, *cor
 }
 
 // matchWave runs one skyline-based matching wave of queries against an
-// already-built index, which is never mutated: SB keeps the skyline of
-// remaining objects on the side, so the same tree can serve the next wave —
-// or, through read-only snapshots, other waves running concurrently. With
-// opts.ShardMatch set and a sharded index, the wave fans across per-shard
-// snapshots (sharded.MatchWave, shardWorkers workers, 0 meaning GOMAXPROCS)
-// instead of traversing the composite single-threaded — same assignments,
-// same order, same scores. The counters charged with the run are returned
-// alongside the result so callers can aggregate across waves.
-func matchWave(tree index.ObjectIndex, capacities map[index.ObjID]int, queries []Query, opts *Options, tok cancel.Token, shardWorkers int) (*Result, *stats.Counters, error) {
+// already-built index, charging c, and never mutates the index: SB keeps the
+// skyline of remaining objects on the side, so the same tree can serve the
+// next wave — or, through read-only snapshots, other waves running
+// concurrently. When c is not the index's own sink, NewMatcher redirects the
+// index's accounting to c for the run and restores it when the matching
+// completes (the drain loop below always runs to exhaustion).
+func matchWave(tree index.ObjectIndex, capacities map[index.ObjID]int, queries []Query, opts *Options, tok cancel.Token, c *stats.Counters) (*Result, error) {
 	fns, copts, err := waveInputs(tree.Dim(), queries, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	copts.Capacities = capacities
 	copts.Cancel = tok
-	c := &stats.Counters{}
-	if opts != nil && opts.ShardMatch {
-		sh, ok := tree.(*sharded.Index)
-		if !ok {
-			return nil, nil, errShardMatchUnsharded
-		}
-		var timer stats.Timer
-		timer.Start()
-		pairs, err := sh.MatchWave(fns, copts, shardWorkers, c)
-		timer.Stop()
-		if err != nil {
-			return nil, nil, err
-		}
-		res := &Result{Assignments: assignmentsFromPairs(pairs)}
-		res.Stats = statsFromCounters(c, timer.Elapsed())
-		return res, c, nil
-	}
-	// NewMatcher redirects the index's accounting to c for the run and
-	// restores the original sink when the matching completes (the drain
-	// loop below always runs to exhaustion).
 	copts.Counters = c
 	inner, err := core.NewMatcher(tree, fns, copts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m := &Matcher{inner: inner, c: c}
 	res := &Result{}
 	for {
 		a, ok, err := m.Next()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if !ok {
 			break
@@ -158,18 +133,5 @@ func matchWave(tree index.ObjectIndex, capacities map[index.ObjID]int, queries [
 		res.Assignments = append(res.Assignments, a)
 	}
 	res.Stats = m.Stats()
-	return res, c, nil
-}
-
-// errShardMatchUnsharded rejects the shard-parallel flag on an index that
-// has no shards to fan across.
-var errShardMatchUnsharded = errors.New("prefmatch: ShardMatch requires a sharded index; enable sharding with Options.Shards >= 1")
-
-// assignmentsFromPairs projects core pairs onto the public assignment type.
-func assignmentsFromPairs(pairs []core.Pair) []Assignment {
-	out := make([]Assignment, len(pairs))
-	for i, p := range pairs {
-		out[i] = Assignment{QueryID: p.FuncID, ObjectID: int(p.ObjID), Score: p.Score}
-	}
-	return out
+	return res, nil
 }

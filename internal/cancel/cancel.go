@@ -3,13 +3,11 @@
 // on the hot path.
 //
 // A Token is a two-word value wrapping a context's done channel. The
-// engines (topk.Searcher, topk.BatchSearcher, the matching-wave loop,
-// the sharded matching wave's shard workers) call Check at natural
-// amortization points
-// — immediately before each node read, once per emitted pair, once per
-// stream refill — so a request that has been canceled or has blown its
-// deadline stops within roughly one node expansion instead of running to
-// completion. Check on a live token is one non-blocking select on a
+// engines (topk.Searcher, topk.BatchSearcher, the matching-wave loop) call
+// Check at natural amortization points — immediately before each node
+// read, once per emitted pair — so a request that has been canceled or has
+// blown its deadline stops within roughly one node expansion instead of
+// running to completion. Check on a live token is one non-blocking select on a
 // channel that is already in the caller's cache line; Check on the zero
 // Token is a nil comparison. Neither allocates. Only the cancellation
 // path itself — taken once per canceled request — allocates the *Error

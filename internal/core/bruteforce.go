@@ -17,11 +17,10 @@ import (
 //
 // The loop itself never touches the object index: classic Brute Force plugs
 // in the restarting source (top-1 re-search after every tree deletion, the
-// paper's § III-A cost profile), the incremental ablation plugs in resumable
-// streams, and the sharded composite plugs in a merge of per-shard streams —
-// all three emit the identical assignment stream because the loop's
-// decisions depend only on the candidate values. Capacities are resolved
-// here, at the merge point, so sources stay capacity-oblivious.
+// paper's § III-A cost profile) and the incremental ablation plugs in
+// resumable streams — both emit the identical assignment stream because the
+// loop's decisions depend only on the candidate values. Capacities are
+// resolved here, in the loop, so sources stay capacity-oblivious.
 type candidateMatcher struct {
 	src ObjectSource
 	fns []prefs.Function
@@ -69,11 +68,11 @@ func (m *candidateMatcher) refresh(i int) error {
 	return nil
 }
 
-// refreshAll refreshes the given functions, batch-priming the source first
-// when it supports it (the sharded source fans the priming across a shard
-// worker pool; the single-index sources answer one Best at a time).
+// refreshAll refreshes the given functions. The restarting source is primed
+// first, so its Best calls answer from one shared traversal; the
+// incremental source answers one Best at a time.
 func (m *candidateMatcher) refreshAll(idxs []int) error {
-	if p, ok := m.src.(BatchPrimer); ok && len(idxs) > 1 {
+	if p, ok := m.src.(*restartSource); ok && len(idxs) > 1 {
 		if err := p.Prime(idxs); err != nil {
 			return err
 		}

@@ -25,13 +25,10 @@ import (
 // its capacity is exhausted), and the walk resumes from the element below
 // them on the stack.
 //
-// The object side goes through ObjectSource: classic Chain uses the
-// restarting source (top-1 re-search against a tree the matcher deletes
-// from, the paper's § V cost profile); the sharded wave plugs in the
-// per-shard merge instead. The walk only consumes candidate values, so both
-// emit the identical stream.
+// The object side is the restarting source: top-1 re-search against a tree
+// the matcher deletes from, the paper's § V cost profile.
 type chainMatcher struct {
-	src   ObjectSource
+	src   *restartSource
 	ftree *memrtree.Tree
 	fns   []prefs.Function
 	c     *stats.Counters
@@ -55,16 +52,12 @@ type chainElem struct {
 }
 
 func newChain(tree index.ObjectIndex, fns []prefs.Function, opts *Options, c *stats.Counters) (*chainMatcher, error) {
-	return newChainOver(newRestartSource(tree, fns, c), fns, opts, c)
-}
-
-func newChainOver(src ObjectSource, fns []prefs.Function, opts *Options, c *stats.Counters) (*chainMatcher, error) {
-	ftree, err := memrtree.New(src.Dim(), 0, c) // 0: memrtree's default fan-out
+	ftree, err := memrtree.New(tree.Dim(), 0, c) // 0: memrtree's default fan-out
 	if err != nil {
 		return nil, err
 	}
 	m := &chainMatcher{
-		src:      src,
+		src:      newRestartSource(tree, fns, c),
 		ftree:    ftree,
 		fns:      fns,
 		c:        c,

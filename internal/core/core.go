@@ -172,6 +172,32 @@ func NewMatcher(tree index.ObjectIndex, fns []prefs.Function, opts *Options) (Ma
 	return inner, nil
 }
 
+// validateMatchInputs is NewMatcher's input validation: a non-empty
+// function set of the index's dimensionality with unique IDs, and
+// capacities of at least 1.
+func validateMatchInputs(dim int, fns []prefs.Function, opts *Options) error {
+	if len(fns) == 0 {
+		return errors.New("core: empty function set")
+	}
+	seen := make(map[int]bool, len(fns))
+	for i := range fns {
+		if fns[i].Dim() != dim {
+			return fmt.Errorf("%w: function %d has dim %d, index has %d",
+				ErrDimensionMismatch, fns[i].ID, fns[i].Dim(), dim)
+		}
+		if seen[fns[i].ID] {
+			return fmt.Errorf("core: duplicate function ID %d", fns[i].ID)
+		}
+		seen[fns[i].ID] = true
+	}
+	for id, cap := range opts.Capacities {
+		if cap < 1 {
+			return fmt.Errorf("core: object %d has capacity %d (< 1)", id, cap)
+		}
+	}
+	return nil
+}
+
 // wrapCancel arms the wave loop's cancellation checkpoint: every Next
 // checks the token before doing any work. The wrapper sits inside
 // restoreMatcher so a canceled run still restores the index's counter

@@ -30,7 +30,7 @@ import (
 type sbMatcher struct {
 	fns   []prefs.Function
 	lists *ta.Lists
-	maint SkylineSource
+	maint *skyline.Maintainer
 	c     *stats.Counters
 
 	multiPair bool
@@ -64,16 +64,6 @@ type fnCache struct {
 }
 
 func newSB(tree index.ObjectIndex, fns []prefs.Function, opts *Options, c *stats.Counters) (*sbMatcher, error) {
-	return newSBOver(skyline.New(tree, opts.SkylineMode, c), fns, opts, c)
-}
-
-// newSBOver builds the SB loop over an explicit skyline source: the
-// single-index skyline.Maintainer, or the sharded cross-shard merge. The
-// loop's emissions depend only on the skyline *sets* the source reports
-// (every per-loop decision is resolved by the deterministic preference
-// orders, never by discovery order), so any source that maintains the
-// correct skyline of the remaining objects yields the identical stream.
-func newSBOver(src SkylineSource, fns []prefs.Function, opts *Options, c *stats.Counters) (*sbMatcher, error) {
 	lists, err := ta.NewLists(fns, c)
 	if err != nil {
 		return nil, err
@@ -82,7 +72,7 @@ func newSBOver(src SkylineSource, fns []prefs.Function, opts *Options, c *stats.
 	return &sbMatcher{
 		fns:         fns,
 		lists:       lists,
-		maint:       src,
+		maint:       skyline.New(tree, opts.SkylineMode, c),
 		c:           c,
 		multiPair:   !opts.DisableMultiPair,
 		resid:       newResidual(opts.Capacities),

@@ -10,17 +10,16 @@ import (
 
 // This file factors the object-index side of the candidate-driven matchers
 // (Brute Force, Brute Force Incremental, Chain) behind ObjectSource: the
-// matchers' global decision loops only ever ask "what is function f's best
+// matchers' decision loops only ever ask "what is function f's best
 // remaining object?" and "object o's capacity is exhausted, withdraw it".
-// Everything else — restarted top-1 searches on a mutated tree, resumable
-// incremental streams over a frozen one, or per-shard streams merged across
-// a sharded composite — is a source strategy. Capacities stay out of the
-// sources on purpose: the residual bookkeeping lives in the merge-level
-// loop, so a shard-local source never needs cross-shard state.
+// Everything else — restarted top-1 searches on a mutated tree, or
+// resumable incremental streams over a frozen one — is a source strategy.
+// Capacities stay out of the sources on purpose: the residual bookkeeping
+// lives in the loop.
 
-// Candidate is one mergeable candidate pair: a function's best remaining
-// object together with everything the global pair order needs (score,
-// coordinate sum, ID).
+// Candidate is one candidate pair: a function's best remaining object
+// together with everything the global pair order needs (score, coordinate
+// sum, ID).
 type Candidate struct {
 	ObjID index.ObjID
 	Point vec.Point
@@ -32,26 +31,15 @@ type Candidate struct {
 // matchers. Best must return function fnIdx's best remaining object under
 // the canonical ranked order (topk.Better: score desc, then coordinate sum
 // desc, then object ID asc), ok == false when no object remains; Remove
-// withdraws an object whose capacity the merge loop has exhausted; Len
-// counts the remaining objects. Implementations are free to answer Best by
-// restarted search, resumable streams, or a merge of per-shard streams — the
-// matchers only depend on the returned values, which is what makes every
-// strategy emit the identical assignment stream.
+// withdraws an object whose capacity the loop has exhausted; Len counts
+// the remaining objects. Implementations are free to answer Best by
+// restarted search or resumable streams — the matchers only depend on the
+// returned values, which is what makes every strategy emit the identical
+// assignment stream.
 type ObjectSource interface {
-	Dim() int
 	Len() int
 	Best(fnIdx int) (Candidate, bool, error)
 	Remove(id index.ObjID, p vec.Point) error
-}
-
-// BatchPrimer is optionally implemented by an ObjectSource that can refresh
-// several functions' candidates more efficiently than one Best at a time
-// (the sharded fan-out primes them across a shard-worker pool). After a
-// successful Prime, Best(fnIdx) for every primed index must be answerable
-// without further index work. Sources that do not implement it are simply
-// asked one function at a time.
-type BatchPrimer interface {
-	Prime(fnIdxs []int) error
 }
 
 // restartSource is the § III-A access pattern: every Best issues a fresh
@@ -90,7 +78,6 @@ func newRestartSource(tree index.ObjectIndex, fns []prefs.Function, c *stats.Cou
 	}
 }
 
-func (s *restartSource) Dim() int { return s.tree.Dim() }
 func (s *restartSource) Len() int { return s.tree.Len() }
 
 func (s *restartSource) Best(fnIdx int) (Candidate, bool, error) {
@@ -174,13 +161,11 @@ func newIncSource(tree index.ObjectIndex, fns []prefs.Function, c *stats.Counter
 	}
 }
 
-func (s *incSource) Dim() int { return s.tree.Dim() }
 func (s *incSource) Len() int { return s.tree.Len() - s.gone }
 
 func (s *incSource) Best(fnIdx int) (Candidate, bool, error) {
 	if s.has[fnIdx] && !s.removed[s.cand[fnIdx].ObjID] {
-		// The cached head is still live — whether a stream produced it or a
-		// batched Prime did; neither needs to advance.
+		// The cached head is still live; the stream need not advance.
 		return s.cand[fnIdx], true, nil
 	}
 	if s.searches[fnIdx] == nil {
@@ -206,13 +191,13 @@ func (s *incSource) Best(fnIdx int) (Candidate, bool, error) {
 	}
 }
 
-// incSource deliberately does NOT implement BatchPrimer. Its defining
-// contract — exactly one resumable search per function, every ranked object
-// produced at most once — is what keeps its I/O strictly below classic Brute
-// Force, and a batched re-prime would re-descend the tree for every refresh
-// wave, re-reading upper levels the live streams have already paid for.
-// Shared-traversal priming pays off only where the per-function work is
-// stateless anyway (restartSource) or fanned across shards (sharded source).
+// incSource deliberately has no Prime. Its defining contract — exactly one
+// resumable search per function, every ranked object produced at most once
+// — is what keeps its I/O strictly below classic Brute Force, and a batched
+// re-prime would re-descend the tree for every refresh wave, re-reading
+// upper levels the live streams have already paid for. Shared-traversal
+// priming pays off only where the per-function work is stateless anyway
+// (restartSource).
 
 func (s *incSource) Remove(id index.ObjID, p vec.Point) error {
 	s.removed[id] = true

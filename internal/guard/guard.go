@@ -1,9 +1,8 @@
 // Package guard converts panics in worker goroutines into errors. The
-// serving fan-outs (Server.MatchMany/TopKMany, the sharded matching wave's
-// per-shard workers) run request work on pooled goroutines behind WaitGroup
-// barriers; an unrecovered panic there kills the whole process, and a
-// recover placed wrongly — outside the worker's job call — would skip
-// the barrier's Done and deadlock every sibling. Safe wraps exactly the
+// serving fan-outs (Server.MatchMany/TopKMany) run request work on pooled
+// goroutines behind WaitGroup barriers; an unrecovered panic there kills
+// the whole process, and a recover placed wrongly — outside the worker's
+// job call — would skip the barrier's Done and deadlock every sibling. Safe wraps exactly the
 // job invocation, so the enclosing worker loop (and its deferred Done)
 // keeps running and one poisoned request fails alone.
 package guard

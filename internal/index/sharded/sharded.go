@@ -21,16 +21,18 @@
 // shard count and any partitioner (enforced by the cross-shard equivalence
 // tests).
 //
-// Ranked search therefore needs nothing shard-specific: a top-k walk over a
-// composite snapshot reads the synthetic root, descends into the shards
-// whose MBR bound can still reach the k-th result, and never reads the
-// others. Each snapshot records which shards its walks entered since it was
-// last pinned, and SettleShardReads turns that into per-shard accounting:
-// a shard is searched when a walk read its nodes, and pruned when a walk
-// read the synthetic root but never entered the shard (also counted in
-// stats.Counters.ShardsPruned). ShardLoadAt and QuerySkew report the
-// totals. The shard-parallel matching wave (MatchWave, matchwave.go) keeps
-// its own per-shard streams.
+// Ranked search and matching therefore need nothing shard-specific: a
+// top-k walk over a composite snapshot reads the synthetic root, descends
+// into the shards whose MBR bound can still reach the k-th result, and
+// never reads the others; an SB wave's skyline traversal prunes a shard
+// whose MBR corner is dominated, and its dominance tests keep one cell per
+// shard (the root's children; beyond 16 shards, 16 cells of adjacent
+// shards). Each snapshot records which shards its walks
+// entered since it was last pinned, and SettleShardReads turns that into
+// per-shard accounting: a shard is searched when a walk read its nodes, and
+// pruned when a walk read the synthetic root but never entered the shard
+// (also counted in stats.Counters.ShardsPruned). ShardLoadAt and QuerySkew
+// report the totals.
 //
 // # Concurrency
 //
@@ -830,8 +832,7 @@ func shardPointsWithin(shard index.ObjectIndex, bound vec.Rect) error {
 // --- Snapshots ---------------------------------------------------------
 
 // CanSnapshot reports whether every shard implements index.Snapshotter —
-// the precondition of Snapshot and MatchWave. Memory shards qualify; paged
-// shards do not.
+// the precondition of Snapshot. Memory shards qualify; paged shards do not.
 func (ix *Index) CanSnapshot() bool { return ix.canSnap }
 
 // Snapshot composes per-shard snapshots into a read-only view of the

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"prefmatch/internal/core"
 	"prefmatch/internal/dataset"
 	"prefmatch/internal/index"
 	"prefmatch/internal/index/mem"
@@ -202,6 +203,72 @@ func TestCompositeCounters(t *testing.T) {
 	}
 	if c.TreeDeletes != 0 {
 		t.Fatal("shard delete leaked into the old sink")
+	}
+}
+
+// TestCompositeMatchEquivalence: every matching algorithm over a composite
+// of {1, 2, 3, 7} shards, under every partitioner, with and without
+// capacities, emits the pair stream (assignments, order, scores) of the
+// same algorithm over one combined index. Brute Force and Chain consume the
+// composite, so each run builds its own. SB runs twice over one composite
+// snapshot, as a sharded server's Match does, and leaves the composite
+// whole.
+func TestCompositeMatchEquivalence(t *testing.T) {
+	const (
+		d    = 3
+		nFns = 40
+	)
+	items := dataset.Clustered(600, d, 6, 41)
+	caps := map[index.ObjID]int{}
+	for i, it := range items {
+		if i%10 == 0 {
+			caps[it.ID] = 3
+		}
+	}
+	match := func(tree index.ObjectIndex, alg core.Algorithm, c map[index.ObjID]int) []core.Pair {
+		t.Helper()
+		pairs, err := core.Match(tree, dataset.Functions(nFns, d, 42), &core.Options{
+			Algorithm:  alg,
+			Capacities: c,
+			Counters:   &stats.Counters{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pairs
+	}
+	for _, c := range []map[index.ObjID]int{nil, caps} {
+		for _, alg := range []core.Algorithm{core.AlgSB, core.AlgBruteForce, core.AlgChain, core.AlgBruteForceIncremental} {
+			single, err := mem.Build(d, items, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := match(single, alg, c)
+			if len(want) == 0 {
+				t.Fatalf("%v caps=%v: empty reference matching", alg, c != nil)
+			}
+			for _, p := range []Partitioner{Spatial{}, Hash{}, RoundRobin{}} {
+				for _, n := range []int{1, 2, 3, 7} {
+					ix, err := Build(d, items, &Options{Shards: n, Partitioner: p})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var tree index.ObjectIndex = ix
+					runs := 1
+					if alg == core.AlgSB {
+						tree, runs = ix.Snapshot(), 2
+					}
+					for r := 0; r < runs; r++ {
+						if got := match(tree, alg, c); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%v caps=%v %s/%d run %d: pairs differ from the single index", alg, c != nil, p.Name(), n, r)
+						}
+					}
+					if alg == core.AlgSB && ix.Len() != len(items) {
+						t.Fatalf("SB %s/%d consumed the composite (%d of %d objects left)", p.Name(), n, ix.Len(), len(items))
+					}
+				}
+			}
+		}
 	}
 }
 

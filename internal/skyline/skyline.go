@@ -19,14 +19,20 @@
 //
 // Every pruning decision — a popped entry, an expanded child, a plist entry
 // being redistributed — asks whether some current skyline member dominates
-// a point. DomSet answers it from a columnar mirror of the skyline sorted by
-// descending coordinate sum, and stops scanning at the first member whose
-// sum is below the point's. That early exit is exact: a dominator is ≥ the
-// point in every coordinate, and floating-point addition in a fixed order
-// is monotone under round-to-nearest, so its computed sum is never smaller.
-// The set returns the dominator with the largest sum, not the one
-// discovered first. Any dominator is a valid plist owner, so the skyline
-// sets, pop order and I/O do not depend on which one it returns.
+// a point. domSet answers it from a columnar mirror of the skyline split
+// into cells, one per subtree of the root (at most maxCells; on a sharded
+// composite the subtrees are the shards). Every entry carries the cell of
+// the subtree it lies in. A test probes the entry's own cell first, then
+// the others, and scans only cells whose max corner is ≥ the point in every
+// coordinate, since no other cell can hold a dominator. Each cell is
+// sorted by descending coordinate sum, and a scan stops at the first
+// member whose sum is below the point's. That early exit is exact: a
+// dominator is ≥ the point in every coordinate, and floating-point
+// addition in a fixed order is monotone under round-to-nearest, so its
+// computed sum is never smaller. The set returns the first dominator its
+// probes reach, which need not be the member discovered first. Any
+// dominator is a valid plist owner, so the skyline sets, pop order and I/O
+// do not depend on which one it returns.
 package skyline
 
 import (
@@ -74,6 +80,7 @@ func (m Mode) String() string {
 // Object is a current skyline member together with its pruned-entry list.
 type Object struct {
 	ID    index.ObjID
+	cell  int8 // dominance-set cell: the root subtree it came from
 	Point vec.Point
 	Sum   float64 // cached coordinate sum (tie-break key)
 
@@ -89,7 +96,9 @@ func (o *Object) PlistLen() int { return o.plen }
 
 // item is a BBS heap element or plist member: either an R-tree node entry or
 // an individual object. Only an entry's best point takes part in dominance,
-// so a node keeps its MBR's Hi corner and nothing else.
+// so a node keeps its MBR's Hi corner and nothing else. cell is the
+// dominance-set cell of the root subtree the entry lies in (childCell). It
+// fits the padding after isObj, so an item stays 48 bytes.
 type item struct {
 	dist  float64          // L1 distance of hi to the best corner
 	hi    vec.Point        // the object's point, or the node MBR's Hi corner
@@ -97,17 +106,33 @@ type item struct {
 	page  pagedfile.PageID // nodes
 	next  int32            // next arena slot of the plist holding this entry, 0 at the end
 	isObj bool
+	cell  int8
 }
 
 // rootItem wraps the root page in an item with an unbounded best corner: it
 // can never be dominated and its -Inf key pops it first, so the true root
-// MBR does not need to be known before the first read.
+// MBR does not need to be known before the first read. It lies in no cell.
 func rootItem(page pagedfile.PageID, dim int) item {
 	hi := make(vec.Point, dim)
 	for i := range hi {
 		hi[i] = math.Inf(1)
 	}
-	return item{dist: math.Inf(-1), page: page, hi: hi}
+	return item{dist: math.Inf(-1), page: page, hi: hi, cell: noCell}
+}
+
+// childCell returns the cell of child i of an n-entry node in cell parent:
+// below the root a child inherits its parent's cell, and child i of the
+// root starts cell i, or cell ⌊maxCells·i/n⌋ when the root has more than
+// maxCells children.
+func childCell(parent int8, i, n int) int8 {
+	switch {
+	case parent != noCell:
+		return parent
+	case n > maxCells:
+		return int8(maxCells * i / n)
+	default:
+		return int8(i)
+	}
 }
 
 // less orders the BBS heap: ascending distance to the best corner; ties are
@@ -139,9 +164,10 @@ type Maintainer struct {
 	excluded map[index.ObjID]bool
 	computed bool
 
-	// dom mirrors sky in descending-sum order for the dominance tests; sky
-	// itself keeps discovery order, which SB's loop order depends on.
-	dom DomSet
+	// dom mirrors sky, by cell and in descending-sum order, for the
+	// dominance tests; sky itself keeps discovery order, which SB's loop
+	// order depends on.
+	dom domSet
 
 	// arena holds every plist entry; slot 0 is a sentinel, so a zero link
 	// ends a list. Parking an entry appends one slot, and redistributing a
@@ -289,7 +315,7 @@ func (m *Maintainer) Remove(ids []index.ObjID) (added []*Object, err error) {
 		for _, r := range removed {
 			for i := r.head; i != 0; {
 				next := m.arena[i].next
-				if owner := m.dom.Dominator(m.arena[i].hi, m.c); owner != nil {
+				if owner := m.dom.Dominator(m.arena[i].hi, m.arena[i].cell, m.c); owner != nil {
 					m.link(owner, i)
 				} else {
 					scand.Push(m.arena[i])
@@ -363,14 +389,14 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 		if it.isObj && known != nil && known[it.id] {
 			continue
 		}
-		if owner := m.dom.Dominator(it.hi, m.c); owner != nil {
+		if owner := m.dom.Dominator(it.hi, it.cell, m.c); owner != nil {
 			if !skipPlist {
 				m.park(owner, it)
 			}
 			continue
 		}
 		if it.isObj {
-			s := &Object{ID: it.id, Point: it.hi, Sum: it.hi.Sum()}
+			s := &Object{ID: it.id, Point: it.hi, Sum: it.hi.Sum(), cell: it.cell}
 			m.index[s.ID] = len(m.sky)
 			m.sky = append(m.sky, s)
 			m.dom.Insert(s)
@@ -380,7 +406,7 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 		if err != nil {
 			return err
 		}
-		if m.expandFlat(n, h, skipPlist) {
+		if m.expandFlat(n, it.cell, h, skipPlist) {
 			continue
 		}
 		for i := 0; i < n.Len(); i++ {
@@ -395,7 +421,8 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 				r := n.Rect(i)
 				child = item{dist: r.BestCornerDist(), page: n.ChildPage(i), hi: r.Hi}
 			}
-			if owner := m.dom.Dominator(child.hi, m.c); owner != nil {
+			child.cell = childCell(it.cell, i, n.Len())
+			if owner := m.dom.Dominator(child.hi, child.cell, m.c); owner != nil {
 				if !skipPlist {
 					m.park(owner, child)
 				}
@@ -413,8 +440,9 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 // assertion per node instead of an Object/Rect dispatch per entry. The heap
 // keys are computed by the same Point.BestCornerDist accumulation as the
 // generic path, so the traversal (and every tie-break) is bit-identical.
-// Reports false when the node has no flat payload.
-func (m *Maintainer) expandFlat(n index.Node, h *pqueue.Queue[item], skipPlist bool) bool {
+// cell is the expanded node's own cell. Reports false when the node has no
+// flat payload.
+func (m *Maintainer) expandFlat(n index.Node, cell int8, h *pqueue.Queue[item], skipPlist bool) bool {
 	d := m.tree.Dim()
 	if n.Leaf() {
 		fl, ok := n.(index.FlatLeaf)
@@ -427,8 +455,8 @@ func (m *Maintainer) expandFlat(n index.Node, h *pqueue.Queue[item], skipPlist b
 				continue
 			}
 			p := vec.Point(pts[i*d : i*d+d : i*d+d])
-			child := item{dist: p.BestCornerDist(), isObj: true, id: id, hi: p}
-			if owner := m.dom.Dominator(p, m.c); owner != nil {
+			child := item{dist: p.BestCornerDist(), isObj: true, id: id, hi: p, cell: childCell(cell, i, len(ids))}
+			if owner := m.dom.Dominator(p, child.cell, m.c); owner != nil {
 				if !skipPlist {
 					m.park(owner, child)
 				}
@@ -445,8 +473,8 @@ func (m *Maintainer) expandFlat(n index.Node, h *pqueue.Queue[item], skipPlist b
 	_, hi := fi.FlatRects()
 	for i := 0; i < n.Len(); i++ {
 		hiP := vec.Point(hi[i*d : i*d+d : i*d+d])
-		child := item{dist: hiP.BestCornerDist(), page: n.ChildPage(i), hi: hiP}
-		if owner := m.dom.Dominator(hiP, m.c); owner != nil {
+		child := item{dist: hiP.BestCornerDist(), page: n.ChildPage(i), hi: hiP, cell: childCell(cell, i, n.Len())}
+		if owner := m.dom.Dominator(hiP, child.cell, m.c); owner != nil {
 			if !skipPlist {
 				m.park(owner, child)
 			}

@@ -198,11 +198,16 @@ func TestRemoveNonMemberFails(t *testing.T) {
 
 // The dominance set answers exactly like a linear Dominates scan over its
 // members, across random insert/drop interleavings on a coarse grid (equal
-// sums, duplicate points) and for both object points and MBR Hi corners.
-// Any dominator is a valid answer; the returned one must be a member that
-// really dominates the query, and the set stays in descending-sum order.
+// sums, duplicate points, coordinates equal to a cell's max corner), with
+// members in random cells, queries from random own cells (noCell and
+// never-used cells included), and for both object points and MBR Hi
+// corners. Any dominator is a valid answer; the returned one must be a
+// member that really dominates the query. Every cell stays in
+// descending-sum order, mirrors its members row for row, and keeps the
+// coordinate-wise max of its members as its corner.
 func TestDomSetMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
+	const cells = 5
 	for _, d := range []int{1, 2, 3, 4} {
 		grid := func() vec.Point {
 			p := make(vec.Point, d)
@@ -211,15 +216,15 @@ func TestDomSetMatchesLinearScan(t *testing.T) {
 			}
 			return p
 		}
-		var s DomSet
+		var s domSet
 		members := map[index.ObjID]*Object{}
 		next := index.ObjID(0)
 		c := &stats.Counters{}
-		for step := 0; step < 3000; step++ {
+		for step := 0; step < 4000; step++ {
 			switch r := rng.Intn(10); {
 			case r < 4:
 				p := grid()
-				o := &Object{ID: next, Point: p, Sum: p.Sum()}
+				o := &Object{ID: next, Point: p, Sum: p.Sum(), cell: int8(rng.Intn(cells))}
 				next++
 				s.Insert(o)
 				members[o.ID] = o
@@ -244,6 +249,7 @@ func TestDomSetMatchesLinearScan(t *testing.T) {
 						q[j] = max(q[j], o[j])
 					}
 				}
+				own := int8(rng.Intn(cells+2) - 1) // noCell .. one past the last used cell
 				want := false
 				for _, o := range members {
 					if o.Point.Dominates(q) {
@@ -252,31 +258,71 @@ func TestDomSetMatchesLinearScan(t *testing.T) {
 					}
 				}
 				before := c.DominanceChecks
-				got := s.Dominator(q, c)
+				got := s.Dominator(q, own, c)
 				if (got != nil) != want {
-					t.Fatalf("d=%d step %d: Dominator(%v) = %v, linear scan says %v", d, step, q, got, want)
+					t.Fatalf("d=%d step %d: Dominator(%v, cell %d) = %v, linear scan says %v", d, step, q, own, got, want)
 				}
 				if got != nil && (members[got.ID] != got || !got.Point.Dominates(q)) {
 					t.Fatalf("d=%d step %d: Dominator(%v) returned %v, not a dominating member", d, step, q, got.Point)
 				}
-				if n := c.DominanceChecks - before; n > int64(len(members)) {
-					t.Fatalf("d=%d: %d checks over %d members", d, n, len(members))
+				nonEmpty := 0
+				for i := range s.cells {
+					if len(s.cells[i].objs) > 0 {
+						nonEmpty++
+					}
+				}
+				if n := c.DominanceChecks - before; n > int64(len(members)+nonEmpty) {
+					t.Fatalf("d=%d: %d checks over %d members in %d cells", d, n, len(members), nonEmpty)
 				}
 			}
-			if len(s.objs) != len(members) {
-				t.Fatalf("d=%d step %d: set has %d members, want %d", d, step, len(s.objs), len(members))
-			}
-			for i := 1; i < len(s.sums); i++ {
-				if s.sums[i] > s.sums[i-1] {
-					t.Fatalf("d=%d step %d: sums out of order at %d", d, step, i)
-				}
-			}
-			for i, o := range s.objs {
-				if !equalPoints(s.pts[i*d:(i+1)*d], o.Point) || s.sums[i] != o.Sum {
-					t.Fatalf("d=%d step %d: row %d does not mirror object %d", d, step, i, o.ID)
-				}
+			checkDomSet(t, &s, members, d, step)
+		}
+	}
+}
+
+// checkDomSet checks the dominance set's invariants against its members:
+// the member count, and per cell the descending sums, rows that mirror
+// their members, and a corner equal to the coordinate-wise max.
+func checkDomSet(t *testing.T, s *domSet, members map[index.ObjID]*Object, d, step int) {
+	t.Helper()
+	if s.n != len(members) {
+		t.Fatalf("d=%d step %d: set counts %d members, want %d", d, step, s.n, len(members))
+	}
+	total := 0
+	for ci := range s.cells {
+		cl := &s.cells[ci]
+		total += len(cl.objs)
+		if len(cl.sums) != len(cl.objs) || len(cl.pts) != len(cl.objs)*d {
+			t.Fatalf("d=%d step %d: cell %d columns disagree in length", d, step, ci)
+		}
+		for i := 1; i < len(cl.sums); i++ {
+			if cl.sums[i] > cl.sums[i-1] {
+				t.Fatalf("d=%d step %d: cell %d sums out of order at %d", d, step, ci, i)
 			}
 		}
+		for i, o := range cl.objs {
+			if members[o.ID] != o || int(o.cell) != ci {
+				t.Fatalf("d=%d step %d: cell %d row %d holds object %d, not a member of this cell", d, step, ci, i, o.ID)
+			}
+			if !equalPoints(cl.pts[i*d:(i+1)*d], o.Point) || cl.sums[i] != o.Sum {
+				t.Fatalf("d=%d step %d: cell %d row %d does not mirror object %d", d, step, ci, i, o.ID)
+			}
+		}
+		if len(cl.objs) == 0 {
+			continue
+		}
+		corner := append(vec.Point(nil), cl.objs[0].Point...)
+		for _, o := range cl.objs {
+			for j, v := range o.Point {
+				corner[j] = max(corner[j], v)
+			}
+		}
+		if !equalPoints(cl.hi, corner) {
+			t.Fatalf("d=%d step %d: cell %d corner %v, want %v", d, step, ci, cl.hi, corner)
+		}
+	}
+	if total != len(members) {
+		t.Fatalf("d=%d step %d: cells hold %d members, want %d", d, step, total, len(members))
 	}
 }
 

@@ -28,14 +28,14 @@ type Counters struct {
 	NodesVisited    int64 // R-tree nodes expanded by ranked search (shared across a batch)
 	TAListAccesses  int64 // sorted-list entries consumed by the threshold algorithm
 	ScoreEvals      int64 // f(o) evaluations
-	DominanceChecks int64 // point/rect dominance tests
+	DominanceChecks int64 // point/rect dominance tests, skyline cell corner tests included
 	HeapOps         int64 // priority-queue pushes and pops
 	SkylineUpdates  int64 // calls to the incremental skyline maintenance module
 	SkylineMaxSize  int64 // largest skyline observed during the run
 	Loops           int64 // outer loops of the matcher
 	PairsEmitted    int64 // stable pairs reported
 	TreeDeletes     int64 // object deletions from the disk R-tree
-	ShardsPruned    int64 // whole shards skipped by MBR pruning (composite-snapshot walks, matching-wave streams)
+	ShardsPruned    int64 // whole shards skipped by MBR pruning (settled composite-snapshot walks)
 
 	// Dynamic-backend counters.
 

@@ -16,10 +16,9 @@
 // Every known-k search is a BatchSearcher walk (batch.go): Top1, Search and
 // SearchAppend run a pooled batch of one, so a bounded search keeps only
 // nodes in its frontier and offers leaf objects to a k-slot heap. Searcher
-// is the resumable form, kept for the consumers that cannot know k up front
-// — the incremental Brute Force ablation and the sharded matching wave's
-// per-shard streams. Both are resettable and pooled, so a steady-state
-// caller performs zero allocations per query. When the preference is a
+// is the resumable form, kept for the one consumer that cannot know k up
+// front: the incremental Brute Force ablation. Both are resettable and
+// pooled, so a steady-state caller performs zero allocations per query. When the preference is a
 // linear prefs.Function and the backend exposes columnar node storage
 // (index.FlatLeaf / index.FlatInternal — the memory backend does), scoring
 // runs devirtualized over the flat slabs with no per-entry interface
@@ -156,9 +155,8 @@ func (s *Searcher) Reset(t index.ObjectIndex, pref prefs.Preference, c *stats.Co
 // Token never cancels and costs one nil comparison per node.
 func (s *Searcher) SetCancel(t cancel.Token) { s.cancel = t }
 
-// searcherPool recycles warmed searchers across streams and goroutines: the
-// sharded matching wave opens one stream per (function, shard) and would
-// otherwise allocate a frontier for each.
+// searcherPool recycles warmed searchers across streams and goroutines, so a
+// caller that opens many streams does not allocate a frontier for each.
 var searcherPool = sync.Pool{New: func() any { return NewSearcher() }}
 
 // AcquireSearcher returns a pooled searcher already Reset for (t, pref, c).

@@ -315,7 +315,7 @@ func TestTiesResolvedByObjectSumThenID(t *testing.T) {
 // TestFrontierOrderAgreesWithBetter pins the frontier heap's object
 // tie-break (cached sums, better) to the exported canonical result order
 // (Better, recomputed sums): any divergence would silently break the
-// bit-identity of merged per-shard streams with a single search.
+// bit-identity of a drained Searcher with a batch search.
 func TestFrontierOrderAgreesWithBetter(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	randItem := func() heapItem {

@@ -40,9 +40,8 @@
 // joined under a synthetic root whose entries carry the shard bounding
 // boxes, so branch-and-bound consumers skip whole shards that cannot beat
 // their threshold: a Server walks the composite like one tree for ranked
-// search and skyline, and runs matching waves shard-parallel. All backends
-// and shard counts produce the identical stable matching for every
-// algorithm.
+// search, skyline and matching. All backends and shard counts produce the
+// identical stable matching for every algorithm.
 //
 // # Concurrency
 //
@@ -293,10 +292,10 @@ type Options struct {
 	// default) builds a single index; 1 builds a one-shard composite
 	// (useful for measuring the composite's overhead); larger values split
 	// the object set. At most sharded.MaxShards (256). A Server answers
-	// top-k, session and skyline requests with one walk over a composite
-	// snapshot, whose synthetic root skips every shard whose bounding box
-	// cannot reach the answer (Stats.ShardsPruned), and runs matching waves
-	// shard-parallel (see ShardMatch).
+	// top-k, session, skyline and matching requests with one walk over a
+	// composite snapshot, whose synthetic root skips every shard whose
+	// bounding box cannot reach the answer (Stats.ShardsPruned); an SB
+	// wave's dominance tests are partitioned by shard.
 	Shards int
 
 	// ShardBy selects the partitioner of the sharded composite backend.
@@ -369,19 +368,6 @@ type Options struct {
 	// the cache — sessions still work, through incremental re-evaluation and
 	// tree walks alone. Server only.
 	ResultCacheEntries int
-
-	// ShardMatch routes matching waves through the shard-parallel fan-out
-	// (sharded.MatchWave): the algorithm's global decision loop — including
-	// all capacity bookkeeping — runs at the merge point, while per-shard
-	// read-only snapshots answer the object-index work concurrently, with
-	// whole candidate streams pruned by the shard MBR bounds. Requires
-	// Shards >= 1 and a snapshot-capable backend (Memory shards); all four
-	// algorithms are supported and emit assignments bit-identical to the
-	// single-index run. Unlike the single-index BruteForce and Chain, the
-	// wave never mutates the shards. Server.Match fans out automatically on
-	// sharded servers; this flag opts the one-shot entry points and
-	// Index.Match into the same path.
-	ShardMatch bool
 }
 
 // Validate checks the Options fields for static validity — negative counts,
@@ -390,9 +376,8 @@ type Options struct {
 // entry point that takes Options (Match, NewMatcher, NewServer, BuildIndex,
 // TopK, Skyline, …) validates through this one method, so the rules cannot
 // drift between them; cmd/prefmatch routes its flag handling through it too.
-// Contextual rules (algorithm/backend compatibility, ShardMatch requiring a
-// sharded snapshot-capable index) are still enforced where the context
-// exists.
+// Contextual rules (algorithm/backend compatibility) are still enforced
+// where the context exists.
 //
 // Note the deliberate non-rules: MergeThreshold may be negative (it disables
 // size-triggered merges) and ResultCacheEntries may be negative (it disables
@@ -450,10 +435,10 @@ func (o *Options) Validate() error {
 //
 // ShardsPruned is sharded-only. On a Server it counts, for every recorded
 // request that walked the composite snapshot — a top-k chunk of at most 64
-// queries, a session walk, a skyline — each shard listed under the
-// synthetic root that the walk never entered; session answers served
-// without a walk add nothing. A shard-parallel matching wave adds the
-// shard streams it never opened.
+// queries, a session walk, a skyline, a matching wave — each shard listed
+// under the synthetic root that the walk never entered; session answers
+// served without a walk add nothing. One-shot entry points and Index.Match
+// walk the composite itself, not a snapshot, and report 0.
 type Stats struct {
 	IOAccesses      int64         // physical page transfers (the paper's metric)
 	PageReads       int64         // physical reads
@@ -463,7 +448,7 @@ type Stats struct {
 	NodesVisited    int64         // R-tree nodes expanded by ranked search
 	TAListAccesses  int64         // TA sorted-list entries consumed
 	ScoreEvals      int64         // preference function evaluations
-	DominanceChecks int64         // point/rect dominance tests
+	DominanceChecks int64         // point/rect dominance tests, skyline cell corner tests included
 	HeapOps         int64         // priority-queue pushes and pops
 	SkylineUpdates  int64         // incremental skyline maintenance calls
 	SkylineMax      int64         // largest skyline encountered
@@ -578,19 +563,10 @@ func NewMatcher(objects []Object, queries []Query, opts *Options) (*Matcher, err
 		Capacities:            capacities,
 		Counters:              c,
 	}
-	var inner core.Matcher
-	if opts.ShardMatch {
-		sh, ok := tree.(*sharded.Index)
-		if !ok {
-			return nil, errShardMatchUnsharded
-		}
-		inner, err = sh.NewWaveMatcher(fns, copts, 0)
-	} else {
-		if dyn, ok := tree.(*dynamic.Index); ok {
-			tree = newMatcherView(dyn, c)
-		}
-		inner, err = core.NewMatcher(tree, fns, copts)
+	if dyn, ok := tree.(*dynamic.Index); ok {
+		tree = newMatcherView(dyn, c)
 	}
+	inner, err := core.NewMatcher(tree, fns, copts)
 	if err != nil {
 		return nil, err
 	}

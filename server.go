@@ -42,14 +42,13 @@ import (
 // return an error wrapping index.ErrReadOnly.
 //
 // With Options.Shards set, the server runs on the sharded composite over
-// memory (or dynamic) shards: top-k, session and skyline requests walk a
-// composite snapshot exactly as they walk a single index, and matching
-// waves run shard-parallel through sharded.MatchWave — the SB loop at the
-// merge point, per-shard skylines computed and maintained concurrently —
-// with results bit-identical to the single-index wave. Shards whose
-// bounding box cannot contribute are skipped (Stats.ShardsPruned counts
-// them). Over dynamic shards, writes are routed by the partitioner and each
-// shard rotates epochs independently.
+// memory (or dynamic) shards: top-k, session, skyline and matching requests
+// walk a composite snapshot exactly as they walk a single index, with
+// results bit-identical to the single-index ones. Shards whose bounding box
+// cannot contribute are skipped (Stats.ShardsPruned counts them), and an SB
+// wave's dominance tests keep one cell per shard. Over dynamic shards,
+// writes are routed by the partitioner and each shard rotates epochs
+// independently.
 //
 // Matching waves are restricted to the skyline-based algorithm, which never
 // mutates the object index; requesting BruteForce or Chain returns an
@@ -57,7 +56,7 @@ import (
 // internal invariant ever let one through.
 type Server struct {
 	ix      servingIndex
-	sh      *sharded.Index // non-nil for a sharded index: enables the shard-parallel matching wave
+	sh      *sharded.Index // non-nil for a sharded index: exports the per-shard load metrics
 	scratch sync.Pool      // *serveScratch: pooled per-request plumbing
 
 	// capacities is the capacity map in effect for new requests, replaced
@@ -539,11 +538,11 @@ func (s *Server) Served() int64 {
 
 // Match runs one skyline-based matching wave of queries against the shared
 // index, exactly like Index.Match but safe to call concurrently: the wave
-// runs against read-only snapshots with private counters. On a sharded
-// server the wave fans across all CPUs' worth of per-shard workers
-// (sharded.MatchWave); the result is bit-identical to the unsharded wave.
-// opts may be nil; the Algorithm field must be SkylineBased (the zero
-// value) and storage fields are ignored.
+// runs on the calling goroutine over a pooled read-only snapshot with
+// private counters. On a sharded server the snapshot is the composite, and
+// the result is bit-identical to the unsharded wave. opts may be nil; the
+// Algorithm field must be SkylineBased (the zero value) and storage fields
+// are ignored.
 func (s *Server) Match(queries []Query, opts *Options) (*Result, error) {
 	return s.matchReq(cancel.Token{}, queries, opts)
 }
@@ -556,55 +555,41 @@ func (s *Server) matchReq(tok cancel.Token, queries []Query, opts *Options) (_ *
 	}
 	defer s.exitRequest()
 	defer s.finishReq(opMatch, firstQID(queries), &err)
-	return s.match(tok, queries, opts, 0)
+	return s.match(tok, queries, opts)
 }
 
-// match implements Match with an explicit shard-worker budget: 0 lets a
-// lone request fan across GOMAXPROCS shard workers, while MatchMany passes
-// its budget split so the outer per-wave fan-out and the inner per-shard
-// fan-out never multiply into oversubscription. On a sharded server the
-// wave runs shard-parallel (sharded.MatchWave pins its own per-shard
-// snapshots); otherwise it runs on a fresh snapshot. The caller has already
-// passed the admission gate.
-func (s *Server) match(tok cancel.Token, queries []Query, opts *Options, shardWorkers int) (*Result, error) {
+// match runs one SB wave over a pooled scratch snapshot, as serve does:
+// pin, walk charging the scratch's one counter sink, record. On a sharded
+// server record settles the wave's shard reads into Stats.ShardsPruned and
+// pm_shard_*, once per wave, and the Result's Stats include them. The
+// caller has already passed the admission gate.
+func (s *Server) match(tok cancel.Token, queries []Query, opts *Options) (*Result, error) {
 	var tr reqTrace
 	tr.begin(0)
-	var tree index.ObjectIndex
-	if s.sh != nil {
-		var o Options
-		if opts != nil {
-			o = *opts
-		}
-		o.ShardMatch = true
-		tree, opts = s.sh, &o
-	} else {
-		tree = s.ix.Snapshot()
-	}
+	sc := s.getScratch()
+	sc.pin()
+	defer s.releaseScratch(sc)
 	tr.mark(stagePin)
-	res, c, err := matchWave(tree, s.caps(), queries, opts, tok, shardWorkers)
+	res, err := matchWave(sc.snap, s.caps(), queries, opts, tok, &sc.c)
 	tr.mark(stageTraverse)
 	if err != nil {
 		s.om.fail(opMatch)
 		return nil, err
 	}
-	s.recordN(c, res.Stats.Elapsed, 1)
+	s.record(sc, res.Stats.Elapsed, 1)
+	res.Stats = statsFromCounters(&sc.c, res.Stats.Elapsed)
 	tr.mark(stageMerge)
-	s.om.finish(opMatch, &tr, c, 1)
+	s.om.finish(opMatch, &tr, &sc.c, 1)
 	return res, nil
 }
 
 // MatchMany evaluates independent matching waves across workers goroutines
 // (0 or negative means GOMAXPROCS) and returns one Result per wave, in wave
-// order. Each wave is a complete stable matching of its queries against the
-// full object set, identical to what a sequential Match of that wave
-// returns. If any wave fails, the joined errors are returned and the
-// results are discarded.
-//
-// On a sharded server, workers is the total parallelism budget: it is
-// spent on the per-wave fan-out first, and whatever the wave count leaves
-// unused goes to each wave's per-shard fan-out (a one-wave batch with
-// workers=0 fans across all CPUs' worth of shard workers; workers=1 stays
-// fully sequential).
+// order. Each wave runs on one goroutine and is a complete stable matching
+// of its queries against the full object set, identical to what a
+// sequential Match of that wave returns; workers=1 stays fully sequential.
+// If any wave fails, the joined errors are returned and the results are
+// discarded.
 func (s *Server) MatchMany(waves [][]Query, opts *Options, workers int) ([]*Result, error) {
 	return s.matchMany(cancel.Token{}, waves, opts, workers)
 }
@@ -617,11 +602,10 @@ func (s *Server) matchMany(tok cancel.Token, waves [][]Query, opts *Options, wor
 	defer s.finishReq(opMatch, -1, &err)
 	results := make([]*Result, len(waves))
 	errs := make([]error, len(waves))
-	budget, shardWorkers := s.splitBudget(workers, len(waves))
-	fanOut(len(waves), budget, func(i int) {
+	fanOut(len(waves), workers, func(i int) {
 		errs[i] = guard.Safe(func() error {
 			var e error
-			results[i], e = s.match(tok, waves[i], opts, shardWorkers)
+			results[i], e = s.match(tok, waves[i], opts)
 			return e
 		})
 	})
@@ -972,25 +956,6 @@ func clampWorkers(workers, jobs int) int {
 		workers = jobs
 	}
 	return workers
-}
-
-// splitBudget splits MatchMany's parallelism budget (0 or negative means
-// GOMAXPROCS) so the fan-out over waves and each wave's per-shard fan-out
-// never multiply into oversubscription: the outer level takes what it can
-// use, the rest goes to each wave's shard workers (1 on an unsharded
-// server).
-func (s *Server) splitBudget(workers, jobs int) (budget, shardWorkers int) {
-	budget = workers
-	if budget < 1 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	shardWorkers = 1
-	if s.sh != nil {
-		if outer := clampWorkers(budget, jobs); outer > 0 && budget/outer > 1 {
-			shardWorkers = budget / outer
-		}
-	}
-	return budget, shardWorkers
 }
 
 // fanOut runs jobs 0..n-1 across workers goroutines (normalised by

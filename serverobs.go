@@ -232,7 +232,7 @@ func (m *serverMetrics) registerDynamic(s *Server) {
 // the re-partitioning signal — when the server runs on the composite. The
 // counts are settled per recorded request (each ≤64-query chunk of a batch
 // records on its own) from the walks it ran over the composite snapshot:
-// top-k, session walks and skyline.
+// top-k, session walks, skyline and matching waves.
 func (m *serverMetrics) registerSharded(s *Server) {
 	if s.sh == nil {
 		return
@@ -242,10 +242,10 @@ func (m *serverMetrics) registerSharded(s *Server) {
 		shard := i
 		label := strconv.Itoa(i)
 		m.reg.CounterFunc("pm_shard_queries_total",
-			"Requests (top-k chunks, session walks, skylines) whose walks entered this shard.",
+			"Requests (top-k chunks, session walks, skylines, matching waves) whose walks entered this shard.",
 			func() int64 { return sh.ShardLoadAt(shard).Queries }, "shard", label)
 		m.reg.CounterFunc("pm_shard_pruned_total",
-			"Requests (top-k chunks, session walks, skylines) whose walks read the synthetic root but skipped this shard whole on its MBR bound.",
+			"Requests (top-k chunks, session walks, skylines, matching waves) whose walks read the synthetic root but skipped this shard whole on its MBR bound.",
 			func() int64 { return sh.ShardLoadAt(shard).Pruned }, "shard", label)
 		m.reg.GaugeFunc("pm_shard_objects",
 			"Objects currently in this shard.",

@@ -131,7 +131,10 @@ func (e errConst) Error() string { return string(e) }
 // shard 2's best, k = n enters all four, and k = 0 reads nothing. Skyline
 // (only the top point is undominated) and a session's first walk (2k+8 = 10
 // deep) enter shard 3 alone; the session's repeat is answered without a
-// walk and settles nothing.
+// walk and settles nothing. Matching waves settle once per wave: every
+// skyline is the single top remaining point, so a wave of n/4+1 queries
+// matches all of shard 3 and then needs shard 2's best, and each of
+// MatchMany's two one-query waves enters shard 3 alone.
 func TestShardAccountingExact(t *testing.T) {
 	const n = 400
 	objs := make([]prefmatch.Object, n)
@@ -162,8 +165,28 @@ func TestShardAccountingExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantQueries := []float64{1, 1, 2, 5}
-	wantPruned := []float64{4, 4, 3, 0}
+	wave := make([]prefmatch.Query, n/4+1)
+	for i := range wave {
+		wave[i] = prefmatch.Query{ID: i, Weights: q.Weights}
+	}
+	res, err := srv.Match(wave, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.ShardsPruned != 2 {
+		t.Errorf("Match: Stats.ShardsPruned = %d, want 2", res.Stats.ShardsPruned)
+	}
+	many, err := srv.MatchMany([][]prefmatch.Query{{q}, {q}}, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range many {
+		if r.Stats.ShardsPruned != 3 {
+			t.Errorf("MatchMany wave %d: Stats.ShardsPruned = %d, want 3", i, r.Stats.ShardsPruned)
+		}
+	}
+	wantQueries := []float64{1, 1, 3, 8}
+	wantPruned := []float64{7, 7, 5, 0}
 	for s := range wantQueries {
 		label := fmt.Sprintf(`{shard="%d"}`, s)
 		if got := metricValue(t, srv, "pm_shard_queries_total"+label); got != wantQueries[s] {
@@ -173,7 +196,7 @@ func TestShardAccountingExact(t *testing.T) {
 			t.Errorf("shard %d pruned %v times, want %v", s, got, wantPruned[s])
 		}
 	}
-	if got := srv.Stats().ShardsPruned; got != 11 {
-		t.Errorf("Stats.ShardsPruned = %d, want 11", got)
+	if got := srv.Stats().ShardsPruned; got != 19 {
+		t.Errorf("Stats.ShardsPruned = %d, want 19", got)
 	}
 }

@@ -1,15 +1,12 @@
-// Tests for the shard-parallel matching wave at the public surface: a
-// sharded Server fans Match/MatchMany across per-shard snapshot workers
-// (sharded.MatchWave), and the ShardMatch option opts the one-shot entry
-// points into the same path. Everything here must be race-clean (CI runs
-// the suite with -race) and bit-identical to the sequential single-index
-// matchers, including capacitated objects; Server.Stats must equal the
-// fold of the per-request stats.
+// Tests for matching on a sharded Server at the public surface: every
+// Match/MatchMany wave walks a pooled composite snapshot. Everything here
+// must be race-clean (CI runs the suite with -race) and bit-identical to the
+// sequential single-index matchers, including capacitated objects;
+// Server.Stats must equal the fold of the per-request stats.
 package prefmatch_test
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"prefmatch"
@@ -53,8 +50,8 @@ func TestShardedServerMatchManyEqualsSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// workers > waves: the budget splits between the per-wave fan-out
-		// and each wave's per-shard workers (both layers race-exercised).
+		// workers > waves: every wave gets its own worker and pooled
+		// composite snapshot (race-exercised).
 		got, err := srv.MatchMany(waves, nil, 2*nWaves)
 		if err != nil {
 			t.Fatalf("shards=%d by=%v: %v", c.shards, c.by, err)
@@ -96,8 +93,8 @@ func TestShardedServerMatchManyEqualsSequential(t *testing.T) {
 	}
 }
 
-// TestShardedServerMatchSmallBatch exercises the other budget split: fewer
-// waves than workers, so each wave's per-shard fan-out gets the surplus.
+// TestShardedServerMatchSmallBatch: fewer waves than workers, and the same
+// wave twice, so two concurrent walks share nothing but the composite.
 func TestShardedServerMatchSmallBatch(t *testing.T) {
 	const d = 3
 	objs := serveObjects(900, d, 411)
@@ -122,7 +119,7 @@ func TestShardedServerMatchSmallBatch(t *testing.T) {
 }
 
 // TestShardedServerRejectsDestructiveAlgorithms: the Server contract (SB
-// only) holds on the sharded wave path too.
+// only) holds on a sharded server too.
 func TestShardedServerRejectsDestructiveAlgorithms(t *testing.T) {
 	objs := serveObjects(120, 2, 421)
 	qs := serveQueries(6, 2, 422)
@@ -134,87 +131,5 @@ func TestShardedServerRejectsDestructiveAlgorithms(t *testing.T) {
 		if _, err := srv.Match(qs, &prefmatch.Options{Algorithm: alg}); err == nil {
 			t.Fatalf("%v accepted by sharded Server.Match", alg)
 		}
-	}
-}
-
-// TestShardMatchEqualsSingleIndex: the public ShardMatch option runs every
-// algorithm shard-parallel with assignments bit-identical to the unsharded
-// single-index run — including the destructive algorithms, which the wave
-// serves without consuming anything.
-func TestShardMatchEqualsSingleIndex(t *testing.T) {
-	const d = 3
-	objs := serveObjects(700, d, 431)
-	qs := serveQueries(40, d, 432)
-	algorithms := []prefmatch.Algorithm{
-		prefmatch.SkylineBased,
-		prefmatch.BruteForce,
-		prefmatch.Chain,
-		prefmatch.BruteForceIncremental,
-	}
-	for _, alg := range algorithms {
-		want, err := prefmatch.Match(objs, qs, &prefmatch.Options{Backend: prefmatch.Memory, Algorithm: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{1, 3} {
-			got, err := prefmatch.Match(objs, qs, &prefmatch.Options{
-				Backend:    prefmatch.Memory,
-				Algorithm:  alg,
-				Shards:     n,
-				ShardBy:    prefmatch.ShardHash,
-				ShardMatch: true,
-			})
-			if err != nil {
-				t.Fatalf("%v shards=%d: %v", alg, n, err)
-			}
-			if !reflect.DeepEqual(got.Assignments, want.Assignments) {
-				t.Fatalf("%v shards=%d: ShardMatch assignments differ from the single-index run", alg, n)
-			}
-			if got.Stats.Pairs != want.Stats.Pairs {
-				t.Fatalf("%v shards=%d: ShardMatch reports %d pairs, want %d", alg, n, got.Stats.Pairs, want.Stats.Pairs)
-			}
-		}
-	}
-}
-
-// TestShardMatchValidation: the flag is rejected, descriptively, when the
-// index cannot support the fan-out.
-func TestShardMatchValidation(t *testing.T) {
-	objs := serveObjects(80, 2, 441)
-	qs := serveQueries(5, 2, 442)
-	// No shards to fan across.
-	if _, err := prefmatch.Match(objs, qs, &prefmatch.Options{Backend: prefmatch.Memory, ShardMatch: true}); err == nil {
-		t.Fatal("ShardMatch without Shards accepted")
-	}
-	// Paged shards cannot snapshot; the error must name Snapshotter.
-	_, err := prefmatch.Match(objs, qs, &prefmatch.Options{Shards: 2, ShardMatch: true})
-	if err == nil {
-		t.Fatal("ShardMatch over paged shards accepted")
-	}
-	if !strings.Contains(err.Error(), "Snapshotter") {
-		t.Fatalf("paged ShardMatch error does not name Snapshotter: %v", err)
-	}
-	// Index.Match honours the per-call flag the same way.
-	ix, err := prefmatch.BuildIndex(objs, &prefmatch.Options{Backend: prefmatch.Memory, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ix.Match(qs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ix.Match(qs, &prefmatch.Options{ShardMatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Assignments, want.Assignments) {
-		t.Fatal("Index.Match ShardMatch assignments differ from the composite traversal")
-	}
-	unsharded, err := prefmatch.BuildIndex(objs, &prefmatch.Options{Backend: prefmatch.Memory})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := unsharded.Match(qs, &prefmatch.Options{ShardMatch: true}); err == nil {
-		t.Fatal("Index.Match ShardMatch on an unsharded index accepted")
 	}
 }
