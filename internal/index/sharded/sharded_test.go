@@ -206,14 +206,13 @@ func TestCompositeCounters(t *testing.T) {
 	}
 }
 
-// TestCompositeMatchEquivalence: every matching algorithm over a composite
-// of {1, 2, 3, 7} shards, under every partitioner, with and without
-// capacities, emits the pair stream (assignments, order, scores) of the
-// same algorithm over one combined index. Brute Force and Chain consume the
-// composite, so each run builds its own. SB runs twice over one composite
-// snapshot, as a sharded server's Match does, and leaves the composite
-// whole.
-func TestCompositeMatchEquivalence(t *testing.T) {
+// TestMatchWaveEquivalence is the cross-shard correctness bar of matching:
+// every algorithm over a composite of {1, 2, 3, 7} shards, under every
+// partitioner, with and without capacities, emits the pair stream
+// (assignments, order, scores) of the same algorithm over one combined
+// index. Brute Force and Chain consume the composite, so each run builds its
+// own; SB runs over a composite snapshot, as a sharded server's Match does.
+func TestMatchWaveEquivalence(t *testing.T) {
 	const (
 		d    = 3
 		nFns = 40
@@ -254,21 +253,71 @@ func TestCompositeMatchEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					var tree index.ObjectIndex = ix
-					runs := 1
 					if alg == core.AlgSB {
-						tree, runs = ix.Snapshot(), 2
+						tree = ix.Snapshot()
 					}
-					for r := 0; r < runs; r++ {
-						if got := match(tree, alg, c); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%v caps=%v %s/%d run %d: pairs differ from the single index", alg, c != nil, p.Name(), n, r)
-						}
-					}
-					if alg == core.AlgSB && ix.Len() != len(items) {
-						t.Fatalf("SB %s/%d consumed the composite (%d of %d objects left)", p.Name(), n, ix.Len(), len(items))
+					if got := match(tree, alg, c); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v caps=%v %s/%d: pairs differ from the single index", alg, c != nil, p.Name(), n)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestMatchWaveLeavesShardsIntact: the algorithms that only read their tree
+// (SB and Brute Force Incremental) serve wave after wave from snapshots of
+// one composite, repeat the identical answer and counters, and leave every
+// object in place. Brute Force and Chain delete what they match, so over a
+// snapshot they fail with index.ErrReadOnly instead of consuming it.
+func TestMatchWaveLeavesShardsIntact(t *testing.T) {
+	const d = 2
+	items := dataset.Independent(300, d, 43)
+	ix, err := Build(d, items, &Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fns := dataset.Functions(25, d, 44)
+	wave := func(alg core.Algorithm) ([]core.Pair, *stats.Counters, error) {
+		c := &stats.Counters{}
+		pairs, err := core.Match(ix.Snapshot(), fns, &core.Options{Algorithm: alg, Counters: c})
+		return pairs, c, err
+	}
+	for _, alg := range []core.Algorithm{core.AlgSB, core.AlgBruteForceIncremental} {
+		first, c1, err := wave(alg)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if len(first) != len(fns) {
+			t.Fatalf("%v: %d pairs for %d functions", alg, len(first), len(fns))
+		}
+		if ix.Len() != len(items) {
+			t.Fatalf("%v: wave consumed the composite (%d of %d objects left)", alg, ix.Len(), len(items))
+		}
+		second, c2, err := wave(alg)
+		if err != nil {
+			t.Fatalf("%v second wave: %v", alg, err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("%v: wave is not repeatable", alg)
+		}
+		if *c1 != *c2 {
+			t.Fatalf("%v: counters differ between waves:\nfirst:  %v\nsecond: %v", alg, c1, c2)
+		}
+		if err := ix.Validate(); err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+	}
+	for _, alg := range []core.Algorithm{core.AlgBruteForce, core.AlgChain} {
+		if _, _, err := wave(alg); !errors.Is(err, index.ErrReadOnly) {
+			t.Fatalf("%v over a snapshot: err = %v, want index.ErrReadOnly", alg, err)
+		}
+		if ix.Len() != len(items) {
+			t.Fatalf("%v: failed wave consumed the composite (%d of %d objects left)", alg, ix.Len(), len(items))
+		}
+	}
+	if err := ix.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
