@@ -244,6 +244,59 @@ func TestMatchMonotoneValidation(t *testing.T) {
 	}
 }
 
+// TestMatchMonotoneDynamicMerges runs MatchMonotone on a Dynamic index whose
+// merge threshold is low enough that Brute Force's 2,000 deletions
+// republish it about 250 times mid-run. Every algorithm that accepts
+// monotone preferences must still return the Memory backend's matching: the
+// matcher reads a pinned snapshot, so a merge cannot rotate the epoch under
+// an in-flight search.
+func TestMatchMonotoneDynamicMerges(t *testing.T) {
+	objs := demoObjects(2000, 3, 11)
+	rng := rand.New(rand.NewSource(12))
+	qs := make([]PreferenceQuery, 2000)
+	for i := range qs {
+		w := make([]float64, 3)
+		for j := range w {
+			w[j] = rng.Float64() + 0.01
+		}
+		qs[i] = PreferenceQuery{ID: i, Preference: LinearPreference{Weights: w}}
+	}
+	want, err := MatchMonotone(objs, qs, &Options{Backend: Memory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []Algorithm{SkylineBased, BruteForce, BruteForceIncremental} {
+		got, err := MatchMonotone(objs, qs, &Options{Algorithm: alg, Backend: Dynamic, MergeThreshold: 8})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if matchingKey(got.Assignments) != matchingKey(want.Assignments) {
+			t.Fatalf("%v: Dynamic matching differs from Memory's", alg)
+		}
+	}
+}
+
+// TestMatchDynamicShardsMerges is the composite's case: Brute Force's and
+// Chain's deletions republish Dynamic shards mid-run, so the one-shot
+// matchers must read a pinned composite snapshot too.
+func TestMatchDynamicShardsMerges(t *testing.T) {
+	objs := demoObjects(2000, 3, 11)
+	qs := demoQueries(2000, 3, 12)
+	want, err := Match(objs, qs, &Options{Backend: Memory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []Algorithm{BruteForce, Chain} {
+		got, err := Match(objs, qs, &Options{Algorithm: alg, Backend: Dynamic, Shards: 3, MergeThreshold: 8})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if matchingKey(got.Assignments) != matchingKey(want.Assignments) {
+			t.Fatalf("%v: sharded Dynamic matching differs from Memory's", alg)
+		}
+	}
+}
+
 func TestMatchMonotoneWithCapacities(t *testing.T) {
 	withCap := demoObjects(6, 2, 9)
 	withCap[0].Capacity = 4

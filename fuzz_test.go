@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"prefmatch/internal/prefs"
 )
 
 // fuzzBytes hands out the body of a fuzz input D bytes at a time, as
@@ -125,12 +127,16 @@ func matchingKey(as []Assignment) string {
 
 // FuzzMatchAlgorithmsAgree checks that every matcher configuration returns
 // the same stable matching: SB under each skyline maintenance mode and
-// both TA thresholds, Brute Force and Chain. Verify must accept every
-// emission sequence. Server.Match must then return one-shot SB's matching
-// bit for bit, in emission order, on four servers: Memory, Memory in 3
-// spatial shards, and Dynamic whole and in 3 shards, both after the
-// decoded updates (compared with one-shot SB over the updated objects).
-// The seed corpus lives in testdata/fuzz.
+// both TA thresholds, Brute Force, Brute Force Incremental and Chain.
+// Verify must accept every emission sequence. MatchMonotone under SB, Brute
+// Force and Brute Force Incremental, over each query's normalised weights
+// as a LinearPreference, must return the same matching bit for bit, which
+// checks SB's reverse-top-1 scan against TA on tie-heavy inputs.
+// Server.Match must then return one-shot SB's matching bit for bit, in
+// emission order, on four servers: Memory, Memory in 3 spatial shards, and
+// Dynamic whole and in 3 shards, both after the decoded updates (compared
+// with one-shot SB over the updated objects). The seed corpus lives in
+// testdata/fuzz.
 func FuzzMatchAlgorithmsAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		objs, qs, updates, ok := decodeMatchInput(data)
@@ -143,6 +149,7 @@ func FuzzMatchAlgorithmsAgree(f *testing.F) {
 		}
 		configs := []config{
 			{"bf", Options{Algorithm: BruteForce}},
+			{"bfinc", Options{Algorithm: BruteForceIncremental}},
 			{"chain", Options{Algorithm: Chain}},
 		}
 		for _, mode := range []MaintenanceMode{MaintainPlist, MaintainRetraverse, MaintainRecompute} {
@@ -165,6 +172,26 @@ func FuzzMatchAlgorithmsAgree(f *testing.F) {
 				want = got
 			} else if got != want {
 				t.Fatalf("%s disagrees with %s:\n got %s\nwant %s", cfg.name, configs[0].name, got, want)
+			}
+		}
+
+		// LinearPreference.Score sums in Function.Score's order, so over the
+		// normalised weights every score is bit-identical to Match's.
+		pqs := make([]PreferenceQuery, len(qs))
+		for i, q := range qs {
+			f, err := prefs.NewFunction(q.ID, q.Weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pqs[i] = PreferenceQuery{ID: q.ID, Preference: LinearPreference{Weights: f.Weights}}
+		}
+		for _, alg := range []Algorithm{SkylineBased, BruteForce, BruteForceIncremental} {
+			res, err := MatchMonotone(objs, pqs, &Options{Algorithm: alg})
+			if err != nil {
+				t.Fatalf("monotone %v: %v", alg, err)
+			}
+			if got := matchingKey(res.Assignments); got != want {
+				t.Fatalf("monotone %v disagrees with %s:\n got %s\nwant %s", alg, configs[0].name, got, want)
 			}
 		}
 

@@ -107,7 +107,7 @@ func waveInputs(dim int, queries []Query, opts *Options) ([]prefs.Function, *cor
 // next wave — or, through read-only snapshots, other waves running
 // concurrently. When c is not the index's own sink, NewMatcher redirects the
 // index's accounting to c for the run and restores it when the matching
-// completes (the drain loop below always runs to exhaustion).
+// completes or fails (drain runs it to one or the other).
 func matchWave(tree index.ObjectIndex, capacities map[index.ObjID]int, queries []Query, opts *Options, tok cancel.Token, c *stats.Counters) (*Result, error) {
 	fns, copts, err := waveInputs(tree.Dim(), queries, opts)
 	if err != nil {
@@ -120,18 +120,5 @@ func matchWave(tree index.ObjectIndex, capacities map[index.ObjID]int, queries [
 	if err != nil {
 		return nil, err
 	}
-	m := &Matcher{inner: inner, c: c}
-	res := &Result{}
-	for {
-		a, ok, err := m.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		res.Assignments = append(res.Assignments, a)
-	}
-	res.Stats = m.Stats()
-	return res, nil
+	return (&Matcher{inner: inner, c: c}).drain(min(tree.Len(), len(queries)))
 }

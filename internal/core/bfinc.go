@@ -2,7 +2,6 @@ package core
 
 import (
 	"prefmatch/internal/index"
-	"prefmatch/internal/prefs"
 	"prefmatch/internal/stats"
 )
 
@@ -23,6 +22,6 @@ import (
 // The variant exists as an ablation (AlgBruteForceIncremental): it
 // quantifies how much of classic Brute Force's cost is re-search, and it
 // still loses to SB, which bounds its working set by the skyline.
-func newBFIncremental(tree index.ObjectIndex, fns []prefs.Function, opts *Options, c *stats.Counters) (*candidateMatcher, error) {
-	return newCandidateMatcher(newIncSource(tree, fns, c), fns, opts, c), nil
+func newBFIncremental(tree index.ObjectIndex, fs funcSet, opts *Options, c *stats.Counters) *candidateMatcher {
+	return newCandidateMatcher(newIncSource(tree, fs.prefs, c), fs.ids, opts, c)
 }

@@ -23,7 +23,7 @@ import (
 // resolved here, in the loop, so sources stay capacity-oblivious.
 type candidateMatcher struct {
 	src ObjectSource
-	fns []prefs.Function
+	ids []int // function i's external ID
 	c   *stats.Counters
 
 	started  bool
@@ -35,19 +35,19 @@ type candidateMatcher struct {
 	affected []int // reusable scratch for the post-removal refresh set
 }
 
-func newBruteForce(tree index.ObjectIndex, fns []prefs.Function, opts *Options, c *stats.Counters) (*candidateMatcher, error) {
-	return newCandidateMatcher(newRestartSource(tree, fns, c), fns, opts, c), nil
+func newBruteForce(tree index.ObjectIndex, fs funcSet, opts *Options, c *stats.Counters) *candidateMatcher {
+	return newCandidateMatcher(newRestartSource(tree, fs.prefs, c), fs.ids, opts, c)
 }
 
-func newCandidateMatcher(src ObjectSource, fns []prefs.Function, opts *Options, c *stats.Counters) *candidateMatcher {
+func newCandidateMatcher(src ObjectSource, ids []int, opts *Options, c *stats.Counters) *candidateMatcher {
 	m := &candidateMatcher{
 		src:   src,
-		fns:   fns,
+		ids:   ids,
 		c:     c,
-		alive: make([]bool, len(fns)),
-		cache: make([]Candidate, len(fns)),
-		has:   make([]bool, len(fns)),
-		live:  len(fns),
+		alive: make([]bool, len(ids)),
+		cache: make([]Candidate, len(ids)),
+		has:   make([]bool, len(ids)),
+		live:  len(ids),
 		resid: newResidual(opts.Capacities),
 	}
 	for i := range m.alive {
@@ -87,7 +87,7 @@ func (m *candidateMatcher) refreshAll(idxs []int) error {
 
 func (m *candidateMatcher) Next() (Pair, bool, error) {
 	if !m.started {
-		idxs := make([]int, len(m.fns))
+		idxs := make([]int, len(m.ids))
 		for i := range idxs {
 			idxs[i] = i
 		}
@@ -102,7 +102,7 @@ func (m *candidateMatcher) Next() (Pair, bool, error) {
 
 	// The highest-priority cached pair is stable (§ III-A).
 	best := -1
-	for i := range m.fns {
+	for i := range m.ids {
 		if !m.alive[i] || !m.has[i] {
 			continue
 		}
@@ -110,8 +110,8 @@ func (m *candidateMatcher) Next() (Pair, bool, error) {
 			best = i
 			continue
 		}
-		a := prefs.PairKey{Score: m.cache[i].Score, ObjSum: m.cache[i].Sum, FuncID: m.fns[i].ID, ObjID: int(m.cache[i].ObjID)}
-		b := prefs.PairKey{Score: m.cache[best].Score, ObjSum: m.cache[best].Sum, FuncID: m.fns[best].ID, ObjID: int(m.cache[best].ObjID)}
+		a := prefs.PairKey{Score: m.cache[i].Score, ObjSum: m.cache[i].Sum, FuncID: m.ids[i], ObjID: int(m.cache[i].ObjID)}
+		b := prefs.PairKey{Score: m.cache[best].Score, ObjSum: m.cache[best].Sum, FuncID: m.ids[best], ObjID: int(m.cache[best].ObjID)}
 		if a.Better(b) {
 			best = i
 		}
@@ -133,7 +133,7 @@ func (m *candidateMatcher) Next() (Pair, bool, error) {
 			return Pair{}, false, err
 		}
 		affected := m.affected[:0]
-		for i := range m.fns {
+		for i := range m.ids {
 			if m.alive[i] && m.has[i] && m.cache[i].ObjID == won.ObjID {
 				affected = append(affected, i)
 			}
@@ -143,5 +143,5 @@ func (m *candidateMatcher) Next() (Pair, bool, error) {
 			return Pair{}, false, err
 		}
 	}
-	return Pair{FuncID: m.fns[best].ID, ObjID: won.ObjID, Score: won.Score}, true, nil
+	return Pair{FuncID: m.ids[best], ObjID: won.ObjID, Score: won.Score}, true, nil
 }

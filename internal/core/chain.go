@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"prefmatch/internal/index"
@@ -51,20 +52,23 @@ type chainElem struct {
 	score float64 // score of the hop that discovered this element
 }
 
-func newChain(tree index.ObjectIndex, fns []prefs.Function, opts *Options, c *stats.Counters) (*chainMatcher, error) {
+func newChain(tree index.ObjectIndex, fs funcSet, opts *Options, c *stats.Counters) (*chainMatcher, error) {
+	if fs.lin == nil {
+		return nil, errors.New("core: Chain requires linear preferences (weight vectors to index)")
+	}
 	ftree, err := memrtree.New(tree.Dim(), 0, c) // 0: memrtree's default fan-out
 	if err != nil {
 		return nil, err
 	}
 	m := &chainMatcher{
-		src:      newRestartSource(tree, fns, c),
+		src:      newRestartSource(tree, fs.prefs, c),
 		ftree:    ftree,
-		fns:      fns,
+		fns:      fs.lin,
 		c:        c,
-		alive:    make([]bool, len(fns)),
+		alive:    make([]bool, len(fs.lin)),
 		assigned: map[index.ObjID]bool{},
 		resid:    newResidual(opts.Capacities),
-		live:     len(fns),
+		live:     len(fs.lin),
 	}
 	for i := range m.alive {
 		m.alive[i] = true

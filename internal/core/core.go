@@ -15,6 +15,11 @@
 // identified, like the paper's algorithms) and produce the identical
 // matching, because they share the deterministic preference orders of
 // package prefs.
+//
+// SB, Brute Force and its incremental ablation also take any monotone
+// preference (NewGenericMatcher, generic.go). They run the same loops; only
+// SB's reverse top-1 changes, from TA over coefficient lists to a scan of
+// the alive preferences. Chain needs weight vectors to index.
 package core
 
 import (
@@ -133,13 +138,37 @@ var ErrDimensionMismatch = errors.New("core: function/object dimensionality mism
 // to the original sink as soon as Next reports completion (or an error).
 // A matcher abandoned before exhaustion leaves the redirect in place.
 func NewMatcher(tree index.ObjectIndex, fns []prefs.Function, opts *Options) (Matcher, error) {
+	fs := funcSet{ids: make([]int, len(fns)), prefs: make([]prefs.Preference, len(fns)), lin: fns}
+	for i := range fns {
+		fs.ids[i] = fns[i].ID
+		fs.prefs[i] = &fns[i] // a pointer boxes without allocating, and prefs.Linear sees through it
+	}
+	return newMatcher(tree, fs, opts)
+}
+
+// funcSet is a matcher's function side, by position: function i's external
+// ID and preference, plus its weight vector when the input is linear. Only
+// two steps need the weights: SB's TA reverse top-1 (without them SB scans
+// the alive preferences) and Chain's function R-tree. SB's scoring scans
+// also use them, to call linear functions without interface dispatch.
+type funcSet struct {
+	ids   []int
+	prefs []prefs.Preference
+	lin   []prefs.Function // nil for opaque monotone preferences
+}
+
+// newMatcher is the one constructor behind NewMatcher and
+// NewGenericMatcher: it validates the inputs, redirects the index's
+// counters, builds the matcher opts.Algorithm selects and arms
+// cancellation.
+func newMatcher(tree index.ObjectIndex, fs funcSet, opts *Options) (Matcher, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
 	if tree == nil {
 		return nil, errors.New("core: nil object tree")
 	}
-	if err := validateMatchInputs(tree.Dim(), fns, opts); err != nil {
+	if err := fs.validate(tree.Dim(), opts.Capacities); err != nil {
 		return nil, err
 	}
 	c, prev := redirectCounters(tree, opts.Counters)
@@ -149,13 +178,13 @@ func NewMatcher(tree index.ObjectIndex, fns []prefs.Function, opts *Options) (Ma
 	)
 	switch opts.Algorithm {
 	case AlgSB:
-		inner, err = newSB(tree, fns, opts, c)
+		inner, err = newSB(tree, fs, opts, c)
 	case AlgBruteForce:
-		inner, err = newBruteForce(tree, fns, opts, c)
+		inner = newBruteForce(tree, fs, opts, c)
 	case AlgChain:
-		inner, err = newChain(tree, fns, opts, c)
+		inner, err = newChain(tree, fs, opts, c)
 	case AlgBruteForceIncremental:
-		inner, err = newBFIncremental(tree, fns, opts, c)
+		inner = newBFIncremental(tree, fs, opts, c)
 	default:
 		err = fmt.Errorf("core: unknown algorithm %d", opts.Algorithm)
 	}
@@ -172,25 +201,28 @@ func NewMatcher(tree index.ObjectIndex, fns []prefs.Function, opts *Options) (Ma
 	return inner, nil
 }
 
-// validateMatchInputs is NewMatcher's input validation: a non-empty
-// function set of the index's dimensionality with unique IDs, and
-// capacities of at least 1.
-func validateMatchInputs(dim int, fns []prefs.Function, opts *Options) error {
-	if len(fns) == 0 {
+// validate is every matcher's input check: a non-empty function set with
+// unique IDs and no nil preference, weights of the index's dimensionality
+// when linear, and capacities of at least 1.
+func (fs funcSet) validate(dim int, capacities map[index.ObjID]int) error {
+	if len(fs.ids) == 0 {
 		return errors.New("core: empty function set")
 	}
-	seen := make(map[int]bool, len(fns))
-	for i := range fns {
-		if fns[i].Dim() != dim {
+	seen := make(map[int]bool, len(fs.ids))
+	for i, id := range fs.ids {
+		if fs.prefs[i] == nil {
+			return fmt.Errorf("core: preference %d is nil", id)
+		}
+		if fs.lin != nil && fs.lin[i].Dim() != dim {
 			return fmt.Errorf("%w: function %d has dim %d, index has %d",
-				ErrDimensionMismatch, fns[i].ID, fns[i].Dim(), dim)
+				ErrDimensionMismatch, id, fs.lin[i].Dim(), dim)
 		}
-		if seen[fns[i].ID] {
-			return fmt.Errorf("core: duplicate function ID %d", fns[i].ID)
+		if seen[id] {
+			return fmt.Errorf("core: duplicate function ID %d", id)
 		}
-		seen[fns[i].ID] = true
+		seen[id] = true
 	}
-	for id, cap := range opts.Capacities {
+	for id, cap := range capacities {
 		if cap < 1 {
 			return fmt.Errorf("core: object %d has capacity %d (< 1)", id, cap)
 		}

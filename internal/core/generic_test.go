@@ -97,7 +97,7 @@ func TestGenericMatchersAgainstOracle(t *testing.T) {
 	} {
 		gps := mixedPreferences(rng, 35, tc.d)
 		want := genericOracle(tc.items, gps)
-		for _, alg := range []Algorithm{AlgSB, AlgBruteForce} {
+		for _, alg := range []Algorithm{AlgSB, AlgBruteForce, AlgBruteForceIncremental} {
 			tree := buildTree(t, tc.items, tc.d)
 			got, err := MatchGeneric(tree, gps, &Options{Algorithm: alg})
 			if err != nil {
@@ -166,7 +166,7 @@ func TestGenericValidation(t *testing.T) {
 func TestGenericProgressiveAndExhaustion(t *testing.T) {
 	items := dataset.Independent(10, 3, 9)
 	gps := mixedPreferences(rand.New(rand.NewSource(10)), 25, 3)
-	for _, alg := range []Algorithm{AlgSB, AlgBruteForce} {
+	for _, alg := range []Algorithm{AlgSB, AlgBruteForce, AlgBruteForceIncremental} {
 		tree := buildTree(t, items, 3)
 		m, err := NewGenericMatcher(tree, gps, &Options{Algorithm: alg})
 		if err != nil {
@@ -225,7 +225,7 @@ func TestGenericRandomizedSweep(t *testing.T) {
 		}
 		gps := mixedPreferences(rng, nPref, d)
 		want := genericOracle(items, gps)
-		for _, alg := range []Algorithm{AlgSB, AlgBruteForce} {
+		for _, alg := range []Algorithm{AlgSB, AlgBruteForce, AlgBruteForceIncremental} {
 			tree := buildTree(t, items, d)
 			got, err := MatchGeneric(tree, gps, &Options{Algorithm: alg})
 			if err != nil {

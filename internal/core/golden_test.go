@@ -125,3 +125,70 @@ func TestSBGoldenCounters(t *testing.T) {
 		})
 	}
 }
+
+// TestMatcherGoldenCounters pins the other matchers on
+// TestSBGoldenCounters' paged workload: Brute Force, its incremental
+// ablation and Chain over the linear functions, and SB and Brute Force
+// over mixed monotone preferences (linear, Cobb-Douglas and weighted
+// minimum). The emitted matching and each work counter must stay exactly
+// as recorded.
+func TestMatcherGoldenCounters(t *testing.T) {
+	items, fns := goldenAnti(3000, 100, 3, 20090329)
+	gps := mixedPreferences(rand.New(rand.NewSource(20090329)), 100, 3)
+	for _, tc := range []struct {
+		name     string
+		alg      Algorithm
+		monotone bool
+		// pinned
+		digest                                        uint64
+		io, top1, nodes, scores, heap, deletes, loops int64
+	}{
+		{"bruteforce", AlgBruteForce, false, 0xbc51a8a3bbb57ff2, 2695, 587, 2171, 118301, 6622, 100, 100},
+		{"bruteforce-inc", AlgBruteForceIncremental, false, 0xbc51a8a3bbb57ff2, 2287, 100, 2517, 29235, 33296, 0, 100},
+		{"chain", AlgChain, false, 0x3173fff2f5a2750a, 3506, 292, 2971, 37325, 18511, 100, 192},
+		{"monotone-sb", AlgSB, true, 0x9b74b2a39572249a, 89, 0, 0, 148493, 1240, 0, 27},
+		{"monotone-bruteforce", AlgBruteForce, true, 0xdadd03e241dee62e, 2097, 435, 1595, 81536, 5672, 100, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &stats.Counters{}
+			tree := buildTree(t, items, 3)
+			tree.SetCounters(c)
+			opts := &Options{Algorithm: tc.alg, Counters: c}
+			var (
+				pairs []Pair
+				err   error
+			)
+			if tc.monotone {
+				pairs, err = MatchGeneric(tree, gps, opts)
+			} else {
+				pairs, err = Match(tree, fns, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("digest=%#x io=%d top1=%d nodes=%d scores=%d heap=%d deletes=%d loops=%d", pairDigest(pairs), c.IOAccesses(), c.Top1Searches, c.NodesVisited, c.ScoreEvals, c.HeapOps, c.TreeDeletes, c.Loops)
+			if len(pairs) != len(fns) {
+				t.Fatalf("%d pairs, want %d", len(pairs), len(fns))
+			}
+			if got := pairDigest(pairs); got != tc.digest {
+				t.Errorf("matching digest %#x, want %#x", got, tc.digest)
+			}
+			for _, f := range []struct {
+				name      string
+				got, want int64
+			}{
+				{"IOAccesses", c.IOAccesses(), tc.io},
+				{"Top1Searches", c.Top1Searches, tc.top1},
+				{"NodesVisited", c.NodesVisited, tc.nodes},
+				{"ScoreEvals", c.ScoreEvals, tc.scores},
+				{"HeapOps", c.HeapOps, tc.heap},
+				{"TreeDeletes", c.TreeDeletes, tc.deletes},
+				{"Loops", c.Loops, tc.loops},
+			} {
+				if f.got != f.want {
+					t.Errorf("%s = %d, want %d", f.name, f.got, f.want)
+				}
+			}
+		})
+	}
+}

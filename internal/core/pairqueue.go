@@ -5,11 +5,10 @@ import (
 	"prefmatch/internal/skyline"
 )
 
-// loopScratch bundles the reusable per-loop state shared by the two SB
-// matcher variants (linear sbMatcher and genericSB), which mirror each
-// other's Algorithm-1 loop. The generation counter makes clearing the
-// per-function marks O(1): a mark is set by writing the current generation
-// and cleared for everyone by bumping it.
+// loopScratch bundles the SB matcher's reusable per-loop state. The
+// generation counter makes clearing the per-function marks O(1): a mark is
+// set by writing the current generation and cleared for everyone by bumping
+// it.
 type loopScratch struct {
 	gen        int64
 	fbestGen   []int64 // generation marks: fnIdx ∈ Fbest this loop
@@ -36,7 +35,7 @@ type matchedPair struct {
 }
 
 // removedSet answers "was this object removed this loop" for the SB
-// matchers' fcache refresh pass without allocating at steady state: the
+// matcher's fcache refresh pass without allocating at steady state: the
 // usual one-or-two-pair loop uses a linear scan, while a large multi-pair
 // batch (up to the skyline size) switches to a reused map so the refresh
 // pass stays O(functions + removed) instead of O(functions × removed).
@@ -77,8 +76,8 @@ func (r *removedSet) has(id index.ObjID) bool {
 	return false
 }
 
-// pairQueue is the FIFO of emitted-but-not-yet-returned pairs shared by the
-// progressive SB matchers. Popping advances a head index instead of
+// pairQueue is the SB matcher's FIFO of emitted-but-not-yet-returned
+// pairs. Popping advances a head index instead of
 // re-slicing the buffer — the old `queue = queue[1:]` pattern kept the
 // original backing array reachable for the matcher's whole life, retaining
 // every pair ever emitted. When the queue drains, the buffer is rewound and

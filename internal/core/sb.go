@@ -9,6 +9,7 @@ import (
 	"prefmatch/internal/skyline"
 	"prefmatch/internal/stats"
 	"prefmatch/internal/ta"
+	"prefmatch/internal/vec"
 )
 
 // sbMatcher is the paper's skyline-based algorithm (Algorithm 1 with the
@@ -27,9 +28,12 @@ import (
 // function's best object (invalidated when that object is assigned, updated
 // when new objects enter the skyline), so per-loop work is proportional to
 // what actually changed.
+//
+// The loop runs over any monotone preferences: only the reverse top-1 of
+// step 2 needs linear weights, and over opaque preferences it is a scan.
 type sbMatcher struct {
-	fns   []prefs.Function
-	lists *ta.Lists
+	fs    funcSet
+	top1  reverseTop1
 	maint *skyline.Maintainer
 	c     *stats.Counters
 
@@ -49,7 +53,16 @@ type sbMatcher struct {
 
 	queue pairQueue // emitted but not yet returned by Next
 
-	loopScratch // per-loop reusable state, shared shape with genericSB
+	loopScratch // per-loop reusable state
+}
+
+// reverseTop1 is SB's BestPair module (§ IV-A) over the alive functions:
+// *ta.Lists for linear functions, scanTop1 for opaque monotone ones. Remove
+// withdraws an assigned function.
+type reverseTop1 interface {
+	ReverseTop1(o vec.Point) (idx int, score float64, ok bool)
+	Remove(i int) error
+	AliveCount() int
 }
 
 type obCache struct {
@@ -63,22 +76,28 @@ type fnCache struct {
 	valid bool
 }
 
-func newSB(tree index.ObjectIndex, fns []prefs.Function, opts *Options, c *stats.Counters) (*sbMatcher, error) {
-	lists, err := ta.NewLists(fns, c)
-	if err != nil {
-		return nil, err
+func newSB(tree index.ObjectIndex, fs funcSet, opts *Options, c *stats.Counters) (*sbMatcher, error) {
+	var top1 reverseTop1
+	if fs.lin == nil {
+		top1 = newScanTop1(fs, c)
+	} else {
+		lists, err := ta.NewLists(fs.lin, c)
+		if err != nil {
+			return nil, err
+		}
+		lists.TightThreshold = !opts.DisableTightThreshold
+		top1 = lists
 	}
-	lists.TightThreshold = !opts.DisableTightThreshold
 	return &sbMatcher{
-		fns:         fns,
-		lists:       lists,
+		fs:          fs,
+		top1:        top1,
 		maint:       skyline.New(tree, opts.SkylineMode, c),
 		c:           c,
 		multiPair:   !opts.DisableMultiPair,
 		resid:       newResidual(opts.Capacities),
 		ocache:      map[index.ObjID]obCache{},
-		fcache:      make([]fnCache, len(fns)),
-		loopScratch: newLoopScratch(len(fns)),
+		fcache:      make([]fnCache, len(fs.ids)),
+		loopScratch: newLoopScratch(len(fs.ids)),
 	}, nil
 }
 
@@ -97,7 +116,7 @@ func (m *sbMatcher) Next() (Pair, bool, error) {
 		}
 	}
 	for m.queue.len() == 0 {
-		if m.lists.AliveCount() == 0 || m.maint.Size() == 0 {
+		if m.top1.AliveCount() == 0 || m.maint.Size() == 0 {
 			m.done = true
 			return Pair{}, false, nil
 		}
@@ -115,7 +134,7 @@ func (m *sbMatcher) start() error {
 		return err
 	}
 	for _, o := range m.maint.Skyline() {
-		idx, score, ok := m.lists.ReverseTop1(o.Point)
+		idx, score, ok := m.top1.ReverseTop1(o.Point)
 		if !ok {
 			return fmt.Errorf("core: no functions for skyline object %d", o.ID)
 		}
@@ -149,20 +168,9 @@ func (m *sbMatcher) loop() error {
 
 	// Ensure every f in Fbest has a valid best object over the skyline.
 	for _, fIdx := range fbestOrder {
-		if m.fcache[fIdx].valid {
-			continue
+		if !m.fcache[fIdx].valid {
+			m.fcache[fIdx] = m.challenge(fIdx, fnCache{}, sky)
 		}
-		best := (*skyline.Object)(nil)
-		bestScore := 0.0
-		f := m.fns[fIdx]
-		for _, o := range sky {
-			m.c.ScoreEvals++
-			s := f.Score(o.Point)
-			if best == nil || prefs.BetterObj(s, o.Sum, int(o.ID), bestScore, best.Sum, int(best.ID)) {
-				best, bestScore = o, s
-			}
-		}
-		m.fcache[fIdx] = fnCache{obj: best, score: bestScore, valid: true}
 	}
 
 	// Collect the mutually-best pairs (§ IV-C). Each is stable by
@@ -182,8 +190,8 @@ func (m *sbMatcher) loop() error {
 	// Order by the global pair order; the first element is the pair the
 	// plain greedy process would emit now.
 	sort.Slice(pairs, func(i, j int) bool {
-		a := prefs.PairKey{Score: pairs[i].score, ObjSum: pairs[i].obj.Sum, FuncID: m.fns[pairs[i].fIdx].ID, ObjID: int(pairs[i].obj.ID)}
-		b := prefs.PairKey{Score: pairs[j].score, ObjSum: pairs[j].obj.Sum, FuncID: m.fns[pairs[j].fIdx].ID, ObjID: int(pairs[j].obj.ID)}
+		a := prefs.PairKey{Score: pairs[i].score, ObjSum: pairs[i].obj.Sum, FuncID: m.fs.ids[pairs[i].fIdx], ObjID: int(pairs[i].obj.ID)}
+		b := prefs.PairKey{Score: pairs[j].score, ObjSum: pairs[j].obj.Sum, FuncID: m.fs.ids[pairs[j].fIdx], ObjID: int(pairs[j].obj.ID)}
 		return a.Better(b)
 	})
 	if !m.multiPair {
@@ -194,10 +202,10 @@ func (m *sbMatcher) loop() error {
 	// exhausted (the default capacity is 1, the paper's 1-1 model).
 	removedObjs := m.removed[:0]
 	for _, p := range pairs {
-		m.queue.push(Pair{FuncID: m.fns[p.fIdx].ID, ObjID: p.obj.ID, Score: p.score})
+		m.queue.push(Pair{FuncID: m.fs.ids[p.fIdx], ObjID: p.obj.ID, Score: p.score})
 		m.c.PairsEmitted++
 		m.matchedGen[p.fIdx] = m.gen
-		if err := m.lists.Remove(p.fIdx); err != nil {
+		if err := m.top1.Remove(p.fIdx); err != nil {
 			return err
 		}
 		m.fcache[p.fIdx] = fnCache{}
@@ -217,7 +225,7 @@ func (m *sbMatcher) loop() error {
 		return err
 	}
 
-	if m.lists.AliveCount() == 0 {
+	if m.top1.AliveCount() == 0 {
 		return nil
 	}
 
@@ -228,7 +236,7 @@ func (m *sbMatcher) loop() error {
 		if ok && m.matchedGen[oc.fnIdx] != m.gen {
 			continue
 		}
-		idx, score, okTA := m.lists.ReverseTop1(o.Point)
+		idx, score, okTA := m.top1.ReverseTop1(o.Point)
 		if !okTA {
 			return fmt.Errorf("core: function set exhausted with objects remaining")
 		}
@@ -250,14 +258,33 @@ func (m *sbMatcher) loop() error {
 			m.fcache[fIdx] = fc
 			continue
 		}
-		for _, o := range added {
-			m.c.ScoreEvals++
-			s := m.fns[fIdx].Score(o.Point)
-			if prefs.BetterObj(s, o.Sum, int(o.ID), fc.score, fc.obj.Sum, int(fc.obj.ID)) {
-				fc.obj, fc.score = o, s
-			}
+		if len(added) > 0 {
+			m.fcache[fIdx] = m.challenge(fIdx, fc, added)
 		}
-		m.fcache[fIdx] = fc
 	}
 	return nil
+}
+
+// challenge returns function i's best object among fc's (none when fc is
+// invalid) and objs. A linear function is scored directly, without the
+// interface dispatch per object: these scans are most of SB's scoring
+// outside TA.
+func (m *sbMatcher) challenge(i int, fc fnCache, objs []*skyline.Object) fnCache {
+	m.c.ScoreEvals += int64(len(objs))
+	if m.fs.lin != nil {
+		f := m.fs.lin[i]
+		for _, o := range objs {
+			if s := f.Score(o.Point); !fc.valid || prefs.BetterObj(s, o.Sum, int(o.ID), fc.score, fc.obj.Sum, int(fc.obj.ID)) {
+				fc = fnCache{obj: o, score: s, valid: true}
+			}
+		}
+		return fc
+	}
+	p := m.fs.prefs[i]
+	for _, o := range objs {
+		if s := p.Score(o.Point); !fc.valid || prefs.BetterObj(s, o.Sum, int(o.ID), fc.score, fc.obj.Sum, int(fc.obj.ID)) {
+			fc = fnCache{obj: o, score: s, valid: true}
+		}
+	}
+	return fc
 }

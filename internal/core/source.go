@@ -52,7 +52,7 @@ type ObjectSource interface {
 // mutation.
 type restartSource struct {
 	tree index.ObjectIndex
-	fns  []prefs.Function
+	fns  []prefs.Preference
 	c    *stats.Counters
 
 	epoch      int   // bumped by Remove; invalidates every primed answer
@@ -66,7 +66,7 @@ type restartSource struct {
 	rbuf     []topk.Result
 }
 
-func newRestartSource(tree index.ObjectIndex, fns []prefs.Function, c *stats.Counters) *restartSource {
+func newRestartSource(tree index.ObjectIndex, fns []prefs.Preference, c *stats.Counters) *restartSource {
 	return &restartSource{
 		tree:       tree,
 		fns:        fns,
@@ -140,7 +140,7 @@ func (s *restartSource) Remove(id index.ObjID, p vec.Point) error {
 // at most once. No tree deletions, no restarted searches.
 type incSource struct {
 	tree     index.ObjectIndex
-	fns      []prefs.Function
+	fns      []prefs.Preference
 	c        *stats.Counters
 	searches []*topk.Searcher
 	cand     []Candidate // current head per function (valid while has[i])
@@ -149,7 +149,7 @@ type incSource struct {
 	gone     int // objects logically removed
 }
 
-func newIncSource(tree index.ObjectIndex, fns []prefs.Function, c *stats.Counters) *incSource {
+func newIncSource(tree index.ObjectIndex, fns []prefs.Preference, c *stats.Counters) *incSource {
 	return &incSource{
 		tree:     tree,
 		fns:      fns,

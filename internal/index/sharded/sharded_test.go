@@ -391,8 +391,8 @@ func walkTopK(t *testing.T, tree index.ObjectIndex, fns []prefs.Preference, k in
 // k deep — the other ranked-search engine.
 func drainTopK(t *testing.T, tree index.ObjectIndex, f prefs.Preference, k int) []topk.Result {
 	t.Helper()
-	s := topk.AcquireSearcher(tree, f, &stats.Counters{})
-	defer s.Release()
+	s := topk.NewSearcher()
+	s.Reset(tree, f, &stats.Counters{})
 	var out []topk.Result
 	for len(out) < k {
 		r, ok, err := s.Next()

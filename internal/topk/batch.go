@@ -237,14 +237,16 @@ func (b *BatchSearcher) Reset(t index.ObjectIndex, fns []prefs.Preference, ks []
 	c.Top1Searches += int64(len(fns))
 }
 
-// SetCancel arms cooperative cancellation for the batch, exactly like
-// Searcher.SetCancel: Run checks the token immediately before every node
-// read and aborts the whole batch with the stage-tagged error. Call
-// between Reset and Run; Reset and Release disarm it.
+// SetCancel arms cooperative cancellation for the batch: Run checks the
+// token immediately before every node read (the unit of both latency and
+// I/O, so a canceled batch stops within about one node expansion) and
+// aborts the whole batch with the stage-tagged error. Call between Reset
+// and Run; Reset and Release disarm it, so pooled searchers never inherit
+// a previous request's deadline. The zero Token never cancels.
 func (b *BatchSearcher) SetCancel(t cancel.Token) { b.cancel = t }
 
 // batchPool recycles warmed batch searchers across requests and goroutines,
-// exactly like searcherPool for the single-function path.
+// so a steady-state caller does not allocate a frontier per search.
 var batchPool = sync.Pool{New: func() any { return NewBatchSearcher() }}
 
 // AcquireBatchSearcher returns a pooled batch searcher already Reset for

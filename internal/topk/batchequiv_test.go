@@ -122,12 +122,12 @@ func TestBatchMatchesIndependentSearchesAllBackends(t *testing.T) {
 	}
 }
 
-// drain is the resumable engine's answer to a top-k query: a pooled
-// Searcher drained k deep (fewer when the tree runs dry).
+// drain is the resumable engine's answer to a top-k query: a Searcher
+// drained k deep (fewer when the tree runs dry).
 func drain(t *testing.T, ix index.ObjectIndex, pref prefs.Preference, k int) []topk.Result {
 	t.Helper()
-	s := topk.AcquireSearcher(ix, pref, &stats.Counters{})
-	defer s.Release()
+	s := topk.NewSearcher()
+	s.Reset(ix, pref, &stats.Counters{})
 	var out []topk.Result
 	for len(out) < k {
 		r, ok, err := s.Next()

@@ -17,18 +17,15 @@
 // SearchAppend run a pooled batch of one, so a bounded search keeps only
 // nodes in its frontier and offers leaf objects to a k-slot heap. Searcher
 // is the resumable form, kept for the one consumer that cannot know k up
-// front: the incremental Brute Force ablation. Both are resettable and
-// pooled, so a steady-state caller performs zero allocations per query. When the preference is a
-// linear prefs.Function and the backend exposes columnar node storage
-// (index.FlatLeaf / index.FlatInternal — the memory backend does), scoring
-// runs devirtualized over the flat slabs with no per-entry interface
-// dispatch. All paths produce bit-identical results.
+// front: the incremental Brute Force ablation. Both are resettable, so a
+// steady-state caller performs zero allocations per query. When the
+// preference is a linear prefs.Function and the backend exposes columnar
+// node storage (index.FlatLeaf / index.FlatInternal — the memory backend
+// does), scoring runs devirtualized over the flat slabs with no per-entry
+// interface dispatch. All paths produce bit-identical results.
 package topk
 
 import (
-	"sync"
-
-	"prefmatch/internal/cancel"
 	"prefmatch/internal/index"
 	"prefmatch/internal/pagedfile"
 	"prefmatch/internal/pqueue"
@@ -100,10 +97,9 @@ func better(a, b heapItem) bool {
 //
 // A Searcher is reusable: Reset rebinds it to a new (tree, preference) pair
 // while keeping the frontier's backing array, so steady-state ranked search
-// allocates nothing. Use AcquireSearcher/Release to share searchers through
-// the package pool, or NewSearcher for a private long-lived one (the
-// incremental Brute Force matcher keeps one live per function). A search
-// that knows its k should run a BatchSearcher instead (SearchAppend).
+// allocates nothing. The incremental Brute Force matcher keeps one live per
+// function. A search that knows its k should run a BatchSearcher instead
+// (SearchAppend).
 type Searcher struct {
 	tree     index.ObjectIndex
 	pref     prefs.Preference
@@ -111,7 +107,6 @@ type Searcher struct {
 	isLinear bool
 	frontier pqueue.Queue[heapItem]
 	counters *stats.Counters
-	cancel   cancel.Token // zero Token: never cancels
 }
 
 // NewSearcher returns an unbound reusable searcher; call Reset before Next.
@@ -138,45 +133,12 @@ func (s *Searcher) Reset(t index.ObjectIndex, pref prefs.Preference, c *stats.Co
 	}
 	s.frontier.Reset()
 	s.frontier.SetCounters(c)
-	s.cancel = cancel.Token{}
 	c.Top1Searches++
 	if root := t.RootPage(); root != pagedfile.InvalidPage {
 		// The root's true bound is unknown before reading it; +Inf keeps it
 		// first without an extra I/O here.
 		s.frontier.Push(heapItem{bound: inf, page: root})
 	}
-}
-
-// SetCancel arms the searcher's cooperative cancellation: Next checks the
-// token immediately before every node read (the unit of both latency and
-// I/O, so a canceled search stops within about one node expansion) and
-// returns the token's stage-tagged error. Reset and Release disarm it, so
-// pooled searchers never inherit a previous request's deadline. The zero
-// Token never cancels and costs one nil comparison per node.
-func (s *Searcher) SetCancel(t cancel.Token) { s.cancel = t }
-
-// searcherPool recycles warmed searchers across streams and goroutines, so a
-// caller that opens many streams does not allocate a frontier for each.
-var searcherPool = sync.Pool{New: func() any { return NewSearcher() }}
-
-// AcquireSearcher returns a pooled searcher already Reset for (t, pref, c).
-// The caller must Release it when the search is abandoned or exhausted, and
-// must not use it afterwards.
-func AcquireSearcher(t index.ObjectIndex, pref prefs.Preference, c *stats.Counters) *Searcher {
-	s := searcherPool.Get().(*Searcher)
-	s.Reset(t, pref, c)
-	return s
-}
-
-// Release drops the searcher's references (so a pooled searcher cannot pin
-// a tree or its arena) and returns it to the pool.
-func (s *Searcher) Release() {
-	s.tree, s.pref, s.counters = nil, nil, nil
-	s.lin, s.isLinear = prefs.Function{}, false
-	s.cancel = cancel.Token{}
-	s.frontier.Reset()
-	s.frontier.SetCounters(nil)
-	searcherPool.Put(s)
 }
 
 const inf = 1e300 // larger than any normalised score; avoids math.Inf in keys
@@ -191,9 +153,6 @@ func (s *Searcher) Next() (Result, bool, error) {
 		}
 		if top.isObj {
 			return Result{ID: top.id, Point: top.point, Score: top.bound}, true, nil
-		}
-		if err := s.cancel.Check("topk.traverse"); err != nil {
-			return Result{}, false, err
 		}
 		n, err := s.tree.ReadNode(top.page)
 		if err != nil {

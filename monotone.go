@@ -5,9 +5,8 @@ import (
 	"fmt"
 
 	"prefmatch/internal/core"
+	"prefmatch/internal/index"
 	"prefmatch/internal/prefs"
-	"prefmatch/internal/skyline"
-	"prefmatch/internal/stats"
 	"prefmatch/internal/vec"
 )
 
@@ -68,20 +67,22 @@ var _ prefs.Preference = prefAdapter{}
 
 // MatchMonotone computes the stable matching between objects and arbitrary
 // monotone preference queries. It generalises Match beyond linear weight
-// vectors (the paper's § II model explicitly admits any monotone function).
+// vectors (the paper's § II model explicitly admits any monotone function)
+// and runs the same matchers on the same index setup.
 //
-// Supported algorithms: SkylineBased (default) and BruteForce. Chain
-// requires linear weight vectors to index and returns an error. Setting
+// Supported algorithms: SkylineBased (default), BruteForce and
+// BruteForceIncremental. SB finds each object's best query by scanning the
+// remaining queries instead of by TA over coefficient lists. Chain requires
+// linear weight vectors to index and returns an error. Setting
 // Options.DisableTightThreshold is also an error: the tight/naive TA
-// threshold distinction only exists for linear functions (the generic
-// engine finds best pairs by scanning the skyline, not by TA), so rather
-// than silently ignoring the ablation flag, MatchMonotone rejects it.
+// threshold distinction only exists for linear functions, so rather than
+// silently ignoring the ablation flag, MatchMonotone rejects it.
 func MatchMonotone(objects []Object, queries []PreferenceQuery, opts *Options) (*Result, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
 	if opts.DisableTightThreshold {
-		return nil, errors.New("prefmatch: DisableTightThreshold is not supported by MatchMonotone: the generic engine scans the skyline directly and has no TA threshold to loosen")
+		return nil, errors.New("prefmatch: DisableTightThreshold is not supported by MatchMonotone: the generic engine scans the remaining queries and has no TA threshold to loosen")
 	}
 	if len(objects) == 0 {
 		return nil, errNoObjects
@@ -105,29 +106,13 @@ func MatchMonotone(objects []Object, queries []PreferenceQuery, opts *Options) (
 		seen[q.ID] = true
 		gps[i] = core.GenericPreference{ID: q.ID, Pref: prefAdapter{p: q.Preference}}
 	}
-	tree, c, err := buildIndex(items, d, opts)
-	if err != nil {
-		return nil, err
-	}
-	var timer stats.Timer
-	timer.Start()
-	pairs, err := core.MatchGeneric(tree, gps, &core.Options{
-		Algorithm:        coreAlg(opts.Algorithm),
-		SkylineMode:      skyline.Mode(opts.Maintenance),
-		DisableMultiPair: opts.DisableMultiPair,
-		Capacities:       capacities,
-		Counters:         c,
+	m, err := newMatcher(items, d, capacities, opts, func(tree index.ObjectIndex, copts *core.Options) (core.Matcher, error) {
+		return core.NewGenericMatcher(tree, gps, copts)
 	})
-	timer.Stop()
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Assignments: make([]Assignment, len(pairs))}
-	for i, p := range pairs {
-		res.Assignments[i] = Assignment{QueryID: p.FuncID, ObjectID: int(p.ObjID), Score: p.Score}
-	}
-	res.Stats = statsFromCounters(c, timer.Elapsed())
-	return res, nil
+	return m.drain(min(len(objects), len(queries)))
 }
 
 // LinearPreference adapts a weight vector to the Preference interface, for

@@ -550,23 +550,32 @@ func NewMatcher(objects []Object, queries []Query, opts *Options) (*Matcher, err
 	if err != nil {
 		return nil, err
 	}
+	return newMatcher(items, d, capacities, opts, func(tree index.ObjectIndex, copts *core.Options) (core.Matcher, error) {
+		return core.NewMatcher(tree, fns, copts)
+	})
+}
 
+// newMatcher is the setup NewMatcher and MatchMonotone share: it indexes
+// the validated objects on the backend opts selects, pins a Dynamic index
+// (whole or sharded) behind a matcherView, and has build make the core
+// matcher over the caller's function set.
+func newMatcher(items []index.Item, d int, capacities map[index.ObjID]int, opts *Options,
+	build func(index.ObjectIndex, *core.Options) (core.Matcher, error)) (*Matcher, error) {
 	tree, c, err := buildIndex(items, d, opts)
 	if err != nil {
 		return nil, err
 	}
-	copts := &core.Options{
+	if opts.Backend == Dynamic {
+		tree = newMatcherView(tree, c)
+	}
+	inner, err := build(tree, &core.Options{
 		Algorithm:             coreAlg(opts.Algorithm),
 		SkylineMode:           skyline.Mode(opts.Maintenance),
 		DisableMultiPair:      opts.DisableMultiPair,
 		DisableTightThreshold: opts.DisableTightThreshold,
 		Capacities:            capacities,
 		Counters:              c,
-	}
-	if dyn, ok := tree.(*dynamic.Index); ok {
-		tree = newMatcherView(dyn, c)
-	}
-	inner, err := core.NewMatcher(tree, fns, copts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -721,24 +730,25 @@ func buildSingle(items []index.Item, d int, opts *Options, c *stats.Counters) (i
 	}
 }
 
-// matcherView adapts a dynamic index to the single-goroutine matcher
-// contract: reads run against a pinned epoch snapshot, while the destructive
-// algorithms' deletions go to the live index and re-pin the view. Without
-// the pin, a deletion-triggered background merge could republish mid-search
-// and invalidate node IDs an in-flight traversal still holds; with it, the
-// epoch can only rotate at the Delete boundary, which is exactly where the
-// algorithms restart their searches.
+// matcherView adapts a dynamic index, or a composite over dynamic shards,
+// to the single-goroutine matcher contract: reads run against a pinned
+// epoch snapshot, while the destructive algorithms' deletions go to the
+// live index and re-pin the view. Without the pin, a deletion-triggered
+// background merge could republish mid-search and invalidate node IDs an
+// in-flight traversal still holds; with it, the epoch can only rotate at
+// the Delete boundary, which is exactly where the algorithms restart their
+// searches.
 type matcherView struct {
 	index.ObjectIndex // the pinned snapshot: all reads
-	live              *dynamic.Index
+	live              index.ObjectIndex
 	refresh           func()
 }
 
-func newMatcherView(dyn *dynamic.Index, c *stats.Counters) *matcherView {
-	snap := dyn.Snapshot()
+func newMatcherView(live index.ObjectIndex, c *stats.Counters) *matcherView {
+	snap := live.(index.Snapshotter).Snapshot()
 	snap.SetCounters(c)
 	refresh, _ := snap.(interface{ Refresh() })
-	return &matcherView{ObjectIndex: snap, live: dyn, refresh: refresh.Refresh}
+	return &matcherView{ObjectIndex: snap, live: live, refresh: refresh.Refresh}
 }
 
 // Delete forwards to the live index and re-pins the snapshot, so the next
@@ -804,7 +814,12 @@ func Match(objects []Object, queries []Query, opts *Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Assignments: make([]Assignment, 0, min(len(objects), len(queries)))}
+	return m.drain(min(len(objects), len(queries)))
+}
+
+// drain runs the matcher to completion; n is the expected matching size.
+func (m *Matcher) drain(n int) (*Result, error) {
+	res := &Result{Assignments: make([]Assignment, 0, n)}
 	for {
 		a, ok, err := m.Next()
 		if err != nil {

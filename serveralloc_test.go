@@ -255,7 +255,8 @@ func TestServerTopKNodeParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			var c stats.Counters
-			srch := topk.AcquireSearcher(ix, &f, &c)
+			srch := topk.NewSearcher()
+			srch.Reset(ix, &f, &c)
 			var want []topk.Result
 			for len(want) < k {
 				r, ok, err := srch.Next()
@@ -267,7 +268,6 @@ func TestServerTopKNodeParity(t *testing.T) {
 				}
 				want = append(want, r)
 			}
-			srch.Release()
 			if nodes != c.NodesVisited {
 				t.Fatalf("k=%d query %d: Server.TopK visited %d nodes, a drained Searcher %d", k, q.ID, nodes, c.NodesVisited)
 			}
