@@ -8,12 +8,14 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"prefmatch"
 )
 
-// ReadObjects parses object rows from r.
+// ReadObjects parses object rows from r. A value cell that is not a finite
+// number (NaN and ±Inf included) is an error naming its row and column.
 func ReadObjects(r io.Reader) ([]prefmatch.Object, error) {
 	rows, err := readAll(r)
 	if err != nil {
@@ -47,7 +49,8 @@ func WriteObjects(w io.Writer, objs []prefmatch.Object) error {
 	return cw.Error()
 }
 
-// ReadQueries parses query rows from r.
+// ReadQueries parses query rows from r. Like ReadObjects, it rejects a
+// weight cell that is not a finite number.
 func ReadQueries(r io.Reader) ([]prefmatch.Query, error) {
 	rows, err := readAll(r)
 	if err != nil {
@@ -135,8 +138,11 @@ func parseIDRow(row []string, i int, kind string) (int, []float64, error) {
 	}
 	vals := make([]float64, len(row)-1)
 	for j, cell := range row[1:] {
+		// ParseFloat also accepts "NaN", "Inf" and "+Infinity"; such a cell
+		// is as bad as an unparsable one, since no attribute or weight may
+		// be non-finite.
 		v, err := strconv.ParseFloat(cell, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return 0, nil, fmt.Errorf("csvio: %s row %d column %d: bad value %q", kind, i, j+1, cell)
 		}
 		vals[j] = v

@@ -74,21 +74,31 @@ func TestAssignmentsRoundTrip(t *testing.T) {
 }
 
 func TestReadErrors(t *testing.T) {
+	readObjects := func(s string) error { _, err := ReadObjects(strings.NewReader(s)); return err }
+	readQueries := func(s string) error { _, err := ReadQueries(strings.NewReader(s)); return err }
 	cases := []struct {
 		name string
 		read func(s string) error
 		in   string
+		want string // a substring of the error, when set
 	}{
-		{"object short row", func(s string) error { _, err := ReadObjects(strings.NewReader(s)); return err }, "5\n"},
-		{"object bad id", func(s string) error { _, err := ReadObjects(strings.NewReader(s)); return err }, "x,0.5\n"},
-		{"object bad value", func(s string) error { _, err := ReadObjects(strings.NewReader(s)); return err }, "1,zzz\n"},
-		{"query bad id", func(s string) error { _, err := ReadQueries(strings.NewReader(s)); return err }, "x,0.5\n"},
-		{"pair wrong arity", func(s string) error { _, err := ReadAssignments(strings.NewReader(s)); return err }, "1,2\n"},
-		{"pair bad score", func(s string) error { _, err := ReadAssignments(strings.NewReader(s)); return err }, "1,2,x\n"},
+		{"object short row", readObjects, "5\n", ""},
+		{"object bad id", readObjects, "x,0.5\n", ""},
+		{"object bad value", readObjects, "1,zzz\n", ""},
+		{"object NaN", readObjects, "0,NaN,1\n", `object row 0 column 1: bad value "NaN"`},
+		{"object -inf", readObjects, "0,0.5,1\n1,1,-inf\n", `object row 1 column 2: bad value "-inf"`},
+		{"query bad id", readQueries, "x,0.5\n", ""},
+		{"query Inf", readQueries, "0,Inf,1\n", `query row 0 column 1: bad value "Inf"`},
+		{"query +Infinity", readQueries, "0,1,+Infinity\n", `query row 0 column 2: bad value "+Infinity"`},
+		{"pair wrong arity", func(s string) error { _, err := ReadAssignments(strings.NewReader(s)); return err }, "1,2\n", ""},
+		{"pair bad score", func(s string) error { _, err := ReadAssignments(strings.NewReader(s)); return err }, "1,2,x\n", ""},
 	}
 	for _, c := range cases {
-		if err := c.read(c.in); err == nil {
+		err := c.read(c.in)
+		if err == nil {
 			t.Errorf("%s: accepted %q", c.name, c.in)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
 		}
 	}
 }

@@ -51,6 +51,13 @@
 // the output so the final order is descending, as a Searcher emits. A batch
 // of one is every known-k search in the package (Top1, Search,
 // SearchAppend).
+//
+// At a leaf, one kernel call scores the leaf's objects for every selected
+// function. A full heap whose k-th best strictly beats an object's score
+// rejects it inline, and only an object that survives the reject has its
+// coordinate sum (the tie-breaker) computed. It is summed in ascending
+// order, so it has the bits vec.Point.Sum gives; most leaf objects are never
+// summed at all.
 package topk
 
 import (
@@ -89,7 +96,9 @@ func batchBetter(a, b batchEntry) bool {
 }
 
 // batchResult is one entry of a per-function result heap, with the coordinate
-// sum cached so sifts never recompute it.
+// sum cached so sifts never recompute it. The linear leaf loop computes the
+// sum only after the inline heap reject, so an object is summed only when it
+// is offered.
 type batchResult struct {
 	score float64
 	sum   float64
@@ -174,7 +183,6 @@ type BatchSearcher struct {
 
 	// Kernel output scratch, sized to the widest node seen.
 	scores []float64
-	sums   []float64
 
 	frontier pqueue.Queue[batchEntry]
 	bounds   []float64 // per-function push-time bounds of the current traversal's entries
@@ -445,13 +453,14 @@ func (b *BatchSearcher) expandLinearBatch(n index.Node) bool {
 		ids, pts := fl.FlatItems()
 		m := len(ids)
 		b.scores = growF(b.scores, nsel*m)
-		b.sums = growF(b.sums, m)
-		vec.DotSumBatch(b.wnode, nsel, d, pts, b.scores, b.sums)
+		vec.DotBatch(b.wnode, nsel, d, pts, b.scores)
 		b.c.ScoreEvals += int64(nsel * m)
 		// Function-major: each function scans its own contiguous score row,
 		// and the overwhelmingly common case — a full heap whose k-th best
 		// strictly beats the candidate — is rejected inline without building
 		// a result (equal scores fall through to offer for the tie-break).
+		// Only a survivor needs its coordinate sum, summed in ascending
+		// order like Point.Sum.
 		for r, f := range b.nodeIdx {
 			row := b.scores[r*m : r*m+m : r*m+m]
 			k := b.ks[f]
@@ -459,7 +468,8 @@ func (b *BatchSearcher) expandLinearBatch(n index.Node) bool {
 				if h := b.heaps[f]; len(h) == k && h[0].score > sc {
 					continue
 				}
-				b.offer(f, sc, b.sums[i], ids[i], pts[i*d:i*d+d:i*d+d])
+				x := vec.Point(pts[i*d : i*d+d : i*d+d])
+				b.offer(f, sc, x.Sum(), ids[i], x)
 			}
 		}
 		return true

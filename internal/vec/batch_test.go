@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -16,21 +17,51 @@ func coarseSlab(rng *rand.Rand, n, d int) []float64 {
 	return s
 }
 
+// edgeValues are inputs on which a kernel that drops, reorders or fuses an
+// operation changes a bit: −0.0 (0.0 + −0.0 is +0.0, but −0.0 + −0.0 is
+// −0.0), subnormals, and magnitudes near 1e150, whose products near 1e300
+// cancel or absorb the small terms depending on the order of the adds.
+var edgeValues = []float64{0, 0.25, 1, math.Copysign(0, -1), 5e-324, 2.5e-310, 1e150, 3e149, -1e150}
+
+// edgeSlab draws from edgeValues, and makes row 0 all −0.0, so that row 0
+// against any positive row is a sum of −0.0 products, which Dot returns as
+// +0.0.
+func edgeSlab(rng *rand.Rand, n, d int) []float64 {
+	s := make([]float64, n*d)
+	for i := range s {
+		s[i] = edgeValues[rng.Intn(len(edgeValues))]
+	}
+	for j := 0; j < d; j++ {
+		s[j] = math.Copysign(0, -1)
+	}
+	return s
+}
+
+var slabs = []struct {
+	name string
+	make func(rng *rand.Rand, n, d int) []float64
+}{{"coarse", coarseSlab}, {"edge", edgeSlab}}
+
+// sameBits compares floats bit for bit, so −0.0 and +0.0 differ.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 func TestDotBatchMatchesDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, d := range []int{1, 2, 3, 4, 7} {
-		for _, q := range []int{1, 3, 16} {
-			for _, n := range []int{1, 5, 33} {
-				ws := coarseSlab(rng, q, d)
-				xs := coarseSlab(rng, n, d)
-				out := make([]float64, q*n)
-				DotBatch(ws, q, d, xs, out)
-				for f := 0; f < q; f++ {
-					w := Point(ws[f*d : (f+1)*d])
-					for i := 0; i < n; i++ {
-						want := Dot(w, xs[i*d:(i+1)*d])
-						if got := out[f*n+i]; got != want {
-							t.Fatalf("d=%d q=%d n=%d: out[%d,%d] = %v, Dot = %v", d, q, n, f, i, got, want)
+	for _, slab := range slabs {
+		for _, d := range []int{1, 2, 3, 4, 5, 7, 8} {
+			for _, q := range []int{1, 3, 16} {
+				for _, n := range []int{1, 5, 33} {
+					ws := slab.make(rng, q, d)
+					xs := slab.make(rng, n, d)
+					out := make([]float64, q*n)
+					DotBatch(ws, q, d, xs, out)
+					for f := 0; f < q; f++ {
+						w := Point(ws[f*d : (f+1)*d])
+						for i := 0; i < n; i++ {
+							want := Dot(w, xs[i*d:(i+1)*d])
+							if got := out[f*n+i]; !sameBits(got, want) {
+								t.Fatalf("%s d=%d q=%d n=%d: out[%d,%d] = %v, Dot = %v", slab.name, d, q, n, f, i, got, want)
+							}
 						}
 					}
 				}
@@ -41,21 +72,25 @@ func TestDotBatchMatchesDot(t *testing.T) {
 
 func TestDotSumBatchMatchesDotSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	const d, q, n = 4, 7, 29
-	ws := coarseSlab(rng, q, d)
-	xs := coarseSlab(rng, n, d)
-	out := make([]float64, q*n)
-	sums := make([]float64, n)
-	DotSumBatch(ws, q, d, xs, out, sums)
-	for i := 0; i < n; i++ {
-		x := xs[i*d : (i+1)*d]
-		if want := Point(x).Sum(); sums[i] != want {
-			t.Fatalf("sums[%d] = %v, Point.Sum = %v", i, sums[i], want)
-		}
-		for f := 0; f < q; f++ {
-			dot, _ := DotSum(Point(ws[f*d:(f+1)*d]), x)
-			if out[f*n+i] != dot {
-				t.Fatalf("out[%d,%d] = %v, DotSum dot = %v", f, i, out[f*n+i], dot)
+	const q, n = 7, 29
+	for _, slab := range slabs {
+		for _, d := range []int{3, 4} {
+			ws := slab.make(rng, q, d)
+			xs := slab.make(rng, n, d)
+			out := make([]float64, q*n)
+			sums := make([]float64, n)
+			DotSumBatch(ws, q, d, xs, out, sums)
+			for i := 0; i < n; i++ {
+				x := xs[i*d : (i+1)*d]
+				if want := Point(x).Sum(); !sameBits(sums[i], want) {
+					t.Fatalf("%s d=%d: sums[%d] = %v, Point.Sum = %v", slab.name, d, i, sums[i], want)
+				}
+				for f := 0; f < q; f++ {
+					dot, _ := DotSum(Point(ws[f*d:(f+1)*d]), x)
+					if !sameBits(out[f*n+i], dot) {
+						t.Fatalf("%s d=%d: out[%d,%d] = %v, DotSum dot = %v", slab.name, d, f, i, out[f*n+i], dot)
+					}
+				}
 			}
 		}
 	}
@@ -63,15 +98,19 @@ func TestDotSumBatchMatchesDotSum(t *testing.T) {
 
 func TestMBRBoundsBatchMatchesDotOnHiCorner(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	const d, q, n = 3, 5, 17
-	ws := coarseSlab(rng, q, d)
-	hi := coarseSlab(rng, n, d)
-	out := make([]float64, q*n)
-	MBRBoundsBatch(ws, q, d, hi, out)
-	for f := 0; f < q; f++ {
-		for i := 0; i < n; i++ {
-			if want := Dot(Point(ws[f*d:(f+1)*d]), hi[i*d:(i+1)*d]); out[f*n+i] != want {
-				t.Fatalf("bound[%d,%d] = %v, Dot(hi) = %v", f, i, out[f*n+i], want)
+	const q, n = 5, 17
+	for _, slab := range slabs {
+		for _, d := range []int{3, 4} {
+			ws := slab.make(rng, q, d)
+			hi := slab.make(rng, n, d)
+			out := make([]float64, q*n)
+			MBRBoundsBatch(ws, q, d, hi, out)
+			for f := 0; f < q; f++ {
+				for i := 0; i < n; i++ {
+					if want := Dot(Point(ws[f*d:(f+1)*d]), hi[i*d:(i+1)*d]); !sameBits(out[f*n+i], want) {
+						t.Fatalf("%s d=%d: bound[%d,%d] = %v, Dot(hi) = %v", slab.name, d, f, i, out[f*n+i], want)
+					}
+				}
 			}
 		}
 	}
