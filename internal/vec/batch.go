@@ -11,10 +11,10 @@
 // TestDotBatchMatchesDot and the topk equivalence suite).
 //
 // DotBatch has one unrolled case, d = 4, the dimensionality of every
-// workload in the canonical benchmark. It hoists the four weights into locals and re-slices each
-// point once, so the compiler drops the inner loop and its bounds checks;
-// the sum is still s := 0.0 followed by one s += w[j]*x[j] per coordinate in
-// ascending j. Those are the generic loop's float operations, in its order,
+// workload in the canonical benchmark. It hoists the four weights into
+// locals and re-slices each point once, so the compiler drops the inner loop
+// and its bounds checks; the sum is still s := 0.0 followed by one
+// s += w[j]*x[j] per coordinate in ascending j. Those are the generic loop's float operations, in its order,
 // for every (function, point) pair, so every score and bound is bit for bit
 // what Dot returns, −0.0 included: the leading 0.0 + turns an all −0.0 sum
 // into +0.0 on both paths. Every other d runs the generic loop.
