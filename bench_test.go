@@ -546,16 +546,19 @@ func BenchmarkComponents(b *testing.B) {
 		}
 	})
 
-	b.Run("ta-reverse-top1-5k-funcs", func(b *testing.B) {
+	// The search an SB wave runs per skyline object: a reverse top-m of
+	// core.TopM functions into a reused list.
+	b.Run("ta-reverse-topm-5k-funcs", func(b *testing.B) {
 		c := &stats.Counters{}
 		lists, err := ta.NewLists(fns, c)
 		if err != nil {
 			b.Fatal(err)
 		}
 		obj := items[0].Point
+		hits := make([]ta.Hit, 0, core.TopM)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lists.ReverseTop1(obj)
+			hits = lists.ReverseTopM(obj, core.TopM, hits[:0])
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"prefmatch/internal/index"
 	"prefmatch/internal/prefs"
 	"prefmatch/internal/stats"
+	"prefmatch/internal/ta"
 	"prefmatch/internal/vec"
 )
 
@@ -16,7 +17,7 @@ import (
 // preference is on the skyline, so SB's loop holds, and the score of an
 // MBR's top corner bounds the ranked searches of Brute Force and its
 // incremental ablation. Only SB's reverse top-1 needs coefficient lists for
-// TA; over opaque preferences it is scanTop1 below. Chain, which indexes the
+// TA; over opaque preferences it is scanTopM below. Chain, which indexes the
 // weight vectors in an R-tree, is unavailable.
 
 // GenericPreference is a monotone scoring function with an identity.
@@ -47,27 +48,29 @@ func NewGenericMatcher(tree index.ObjectIndex, gps []GenericPreference, opts *Op
 	return newMatcher(tree, fs, opts)
 }
 
-// scanTop1 is SB's reverse top-1 over opaque monotone preferences, which
+// scanTopM is SB's reverse top-m over opaque monotone preferences, which
 // have no coefficient lists for TA to walk: it scores the object under
 // every alive preference.
-type scanTop1 struct {
+type scanTopM struct {
 	fs    funcSet
 	alive []bool
 	live  int
 	c     *stats.Counters
 }
 
-func newScanTop1(fs funcSet, c *stats.Counters) *scanTop1 {
-	s := &scanTop1{fs: fs, alive: make([]bool, len(fs.ids)), live: len(fs.ids), c: c}
+func newScanTopM(fs funcSet, c *stats.Counters) *scanTopM {
+	s := &scanTopM{fs: fs, alive: make([]bool, len(fs.ids)), live: len(fs.ids), c: c}
 	for i := range s.alive {
 		s.alive[i] = true
 	}
 	return s
 }
 
-func (s *scanTop1) AliveCount() int { return s.live }
+func (s *scanTopM) AliveCount() int { return s.live }
 
-func (s *scanTop1) Remove(i int) error {
+func (s *scanTopM) Alive(i int) bool { return s.alive[i] }
+
+func (s *scanTopM) Remove(i int) error {
 	if !s.alive[i] {
 		return fmt.Errorf("core: function %d already removed", i)
 	}
@@ -76,19 +79,17 @@ func (s *scanTop1) Remove(i int) error {
 	return nil
 }
 
-// ReverseTop1 returns the alive preference scoring o highest, under the
-// object-side order (score desc, then smaller ID), as ta.Lists does.
-func (s *scanTop1) ReverseTop1(o vec.Point) (int, float64, bool) {
-	best, bestScore := -1, 0.0
+// ReverseTopM appends the m alive preferences scoring o highest to dst,
+// best first under the object-side order (score desc, then smaller ID), as
+// ta.Lists does.
+func (s *scanTopM) ReverseTopM(o vec.Point, m int, dst []ta.Hit) []ta.Hit {
+	base := len(dst)
 	for i, p := range s.fs.prefs {
 		if !s.alive[i] {
 			continue
 		}
 		s.c.ScoreEvals++
-		score := p.Score(o)
-		if best < 0 || prefs.BetterFunc(score, s.fs.ids[i], bestScore, s.fs.ids[best]) {
-			best, bestScore = i, score
-		}
+		dst = ta.Offer(dst, base, m, ta.Hit{Idx: int32(i), Score: p.Score(o)}, s.fs.ids)
 	}
-	return best, bestScore, best >= 0
+	return dst
 }

@@ -72,20 +72,30 @@ func pairDigest(pairs []Pair) uint64 {
 // counter: they may fall, never rise above the recorded value. A change to
 // the skyline or TA inner loops that alters any pinned value has changed
 // the algorithm, not just its speed.
+//
+// The first four rows run the paper's reverse top-1 (ranked lists of one
+// function, m = 1, set on the matcher before its first pair); the "-topm"
+// rows run the default TopM lists. Only TA list accesses and score
+// evaluations may differ between the two.
 func TestSBGoldenCounters(t *testing.T) {
 	items, fns := goldenAnti(3000, 100, 3, 20090329)
 	for _, tc := range []struct {
 		name string
 		opts Options
+		m    int
 		// pinned
 		digest                       uint64
 		io, ta, scores, heap, skyMax int64
 		maxDom                       int64
 	}{
-		{"plist", Options{}, 0x1c279d9477d88446, 90, 41973, 63548, 1302, 209, 196407},
-		{"plist-naive", Options{DisableTightThreshold: true}, 0x1c279d9477d88446, 90, 93672, 101446, 1302, 209, 196407},
-		{"retraverse", Options{SkylineMode: skyline.MaintainRetraverse}, 0x1c279d9477d88446, 2042, 41973, 63548, 12396, 209, 1862955},
-		{"recompute", Options{SkylineMode: skyline.MaintainRecompute}, 0x1c279d9477d88446, 2042, 41973, 63548, 27078, 209, 987270},
+		{"plist", Options{}, 1, 0x1c279d9477d88446, 90, 41973, 63548, 1302, 209, 196407},
+		{"plist-naive", Options{DisableTightThreshold: true}, 1, 0x1c279d9477d88446, 90, 93672, 101446, 1302, 209, 196407},
+		{"retraverse", Options{SkylineMode: skyline.MaintainRetraverse}, 1, 0x1c279d9477d88446, 2042, 41973, 63548, 12396, 209, 1862955},
+		{"recompute", Options{SkylineMode: skyline.MaintainRecompute}, 1, 0x1c279d9477d88446, 2042, 41973, 63548, 27078, 209, 987270},
+		{"plist-topm", Options{}, TopM, 0x1c279d9477d88446, 90, 24057, 44853, 1302, 209, 55636},
+		{"plist-naive-topm", Options{DisableTightThreshold: true}, TopM, 0x1c279d9477d88446, 90, 34551, 51143, 1302, 209, 55636},
+		{"retraverse-topm", Options{SkylineMode: skyline.MaintainRetraverse}, TopM, 0x1c279d9477d88446, 2042, 24057, 44853, 12396, 209, 400244},
+		{"recompute-topm", Options{SkylineMode: skyline.MaintainRecompute}, TopM, 0x1c279d9477d88446, 2042, 24057, 44853, 27078, 209, 313743},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := &stats.Counters{}
@@ -94,7 +104,14 @@ func TestSBGoldenCounters(t *testing.T) {
 			opts := tc.opts
 			opts.Algorithm = AlgSB
 			opts.Counters = c
-			pairs, err := Match(tree, fns, &opts)
+			// The index already charges c and no token is armed, so the
+			// matcher comes back unwrapped.
+			mt, err := NewMatcher(tree, fns, &opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mt.(*sbMatcher).topM = tc.m
+			pairs, err := MatchAll(mt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +163,7 @@ func TestMatcherGoldenCounters(t *testing.T) {
 		{"bruteforce", AlgBruteForce, false, 0xbc51a8a3bbb57ff2, 2695, 587, 2171, 118301, 6622, 100, 100},
 		{"bruteforce-inc", AlgBruteForceIncremental, false, 0xbc51a8a3bbb57ff2, 2287, 100, 2517, 29235, 33296, 0, 100},
 		{"chain", AlgChain, false, 0x3173fff2f5a2750a, 3506, 292, 2971, 37325, 18511, 100, 192},
-		{"monotone-sb", AlgSB, true, 0x9b74b2a39572249a, 89, 0, 0, 148493, 1240, 0, 27},
+		{"monotone-sb", AlgSB, true, 0x9b74b2a39572249a, 89, 0, 0, 66466, 1240, 0, 27},
 		{"monotone-bruteforce", AlgBruteForce, true, 0xdadd03e241dee62e, 2097, 435, 1595, 81536, 5672, 100, 100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

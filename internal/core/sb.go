@@ -23,17 +23,18 @@ import (
 //  4. remove the matched functions and objects, update the skyline through
 //     the pruned-entry lists (§ IV-B), and repeat.
 //
-// Between loops the matcher caches each skyline object's best function
-// (invalidated only when that function is assigned) and each candidate
-// function's best object (invalidated when that object is assigned, updated
-// when new objects enter the skyline), so per-loop work is proportional to
-// what actually changed.
+// Between loops the matcher caches each skyline object's TopM best
+// functions (a match advances the list to its next alive entry, and only an
+// exhausted list runs TA again) and each candidate function's best object
+// (invalidated when that object is assigned, updated when new objects enter
+// the skyline), so per-loop work is proportional to what actually changed.
 //
-// The loop runs over any monotone preferences: only the reverse top-1 of
+// The loop runs over any monotone preferences: only the reverse top-m of
 // step 2 needs linear weights, and over opaque preferences it is a scan.
 type sbMatcher struct {
 	fs    funcSet
-	top1  reverseTop1
+	top   reverseTopM
+	topM  int // list length: TopM, or 1 where a test pins the paper's reverse top-1
 	maint *skyline.Maintainer
 	c     *stats.Counters
 
@@ -42,9 +43,16 @@ type sbMatcher struct {
 	done      bool
 	resid     *residual
 
-	// ocache maps a skyline object ID to its best function; entries exist
-	// for exactly the current skyline members.
+	// ocache maps a skyline object ID to its ranked list of best
+	// functions; entries exist for exactly the current skyline members.
+	// The lists live in ranked, topM hits per slot, best first; a removed
+	// object's slot goes to free for the next new member. Within a wave
+	// functions only leave, so the alive hits of an exact top-m list are a
+	// prefix of the object's order over the alive functions, ties included:
+	// the first alive hit is the object's best function.
 	ocache map[index.ObjID]obCache
+	ranked []ta.Hit
+	free   []int32
 	// fcache holds, per function position, the function's best object over
 	// the current skyline; entries may be stale-marked (valid=false) but
 	// never wrong. Dense indexing keeps the refresh pass in function order
@@ -56,18 +64,28 @@ type sbMatcher struct {
 	loopScratch // per-loop reusable state
 }
 
-// reverseTop1 is SB's BestPair module (§ IV-A) over the alive functions:
-// *ta.Lists for linear functions, scanTop1 for opaque monotone ones. Remove
-// withdraws an assigned function.
-type reverseTop1 interface {
-	ReverseTop1(o vec.Point) (idx int, score float64, ok bool)
+// TopM is the length of the ranked function list SB keeps per skyline
+// object. It was chosen by measurement, on SB waves over 20k
+// anti-correlated 4-d objects and 500 functions: of m = 1, 2, 4, 8 and 16,
+// m = 4 and 8 made the fastest waves, and a wave ran 28,761 TA searches at
+// m = 1 (the paper's reverse top-1), 12,872 at m = 4 and 8,918 at m = 8.
+const TopM = 8
+
+// reverseTopM is SB's BestPair module (§ IV-A) over the alive functions:
+// *ta.Lists for linear functions, scanTopM for opaque monotone ones.
+// ReverseTopM appends the best m alive functions for o to dst, best first;
+// Remove withdraws an assigned function.
+type reverseTopM interface {
+	ReverseTopM(o vec.Point, m int, dst []ta.Hit) []ta.Hit
 	Remove(i int) error
+	Alive(i int) bool
 	AliveCount() int
 }
 
+// obCache locates a skyline object's list in ranked: slot, the position of
+// its best alive hit, and its length.
 type obCache struct {
-	fnIdx int
-	score float64
+	slot, cur, n int32
 }
 
 type fnCache struct {
@@ -77,20 +95,21 @@ type fnCache struct {
 }
 
 func newSB(tree index.ObjectIndex, fs funcSet, opts *Options, c *stats.Counters) (*sbMatcher, error) {
-	var top1 reverseTop1
+	var top reverseTopM
 	if fs.lin == nil {
-		top1 = newScanTop1(fs, c)
+		top = newScanTopM(fs, c)
 	} else {
 		lists, err := ta.NewLists(fs.lin, c)
 		if err != nil {
 			return nil, err
 		}
 		lists.TightThreshold = !opts.DisableTightThreshold
-		top1 = lists
+		top = lists
 	}
 	return &sbMatcher{
 		fs:          fs,
-		top1:        top1,
+		top:         top,
+		topM:        TopM,
 		maint:       skyline.New(tree, opts.SkylineMode, c),
 		c:           c,
 		multiPair:   !opts.DisableMultiPair,
@@ -116,7 +135,7 @@ func (m *sbMatcher) Next() (Pair, bool, error) {
 		}
 	}
 	for m.queue.len() == 0 {
-		if m.top1.AliveCount() == 0 || m.maint.Size() == 0 {
+		if m.top.AliveCount() == 0 || m.maint.Size() == 0 {
 			m.done = true
 			return Pair{}, false, nil
 		}
@@ -128,19 +147,47 @@ func (m *sbMatcher) Next() (Pair, bool, error) {
 	return p, true, nil
 }
 
-// start computes the initial skyline and the best function of every member.
+// start computes the initial skyline and the ranked functions of every
+// member.
 func (m *sbMatcher) start() error {
 	if err := m.maint.Compute(); err != nil {
 		return err
 	}
 	for _, o := range m.maint.Skyline() {
-		idx, score, ok := m.top1.ReverseTop1(o.Point)
-		if !ok {
-			return fmt.Errorf("core: no functions for skyline object %d", o.ID)
+		if err := m.rank(o, obCache{slot: m.newSlot()}); err != nil {
+			return err
 		}
-		m.ocache[o.ID] = obCache{fnIdx: idx, score: score}
 	}
 	m.started = true
+	return nil
+}
+
+// best returns the best alive function in oc's list.
+func (m *sbMatcher) best(oc obCache) ta.Hit {
+	return m.ranked[int(oc.slot)*m.topM+int(oc.cur)]
+}
+
+// newSlot hands out a list slot, reusing a removed object's.
+func (m *sbMatcher) newSlot() int32 {
+	if n := len(m.free); n > 0 {
+		slot := m.free[n-1]
+		m.free = m.free[:n-1]
+		return slot
+	}
+	m.ranked = append(m.ranked, make([]ta.Hit, m.topM)...)
+	return int32(len(m.ranked)/m.topM - 1)
+}
+
+// rank fills oc's slot with o's best topM alive functions by a reverse
+// top-m search and caches the list for o.
+func (m *sbMatcher) rank(o *skyline.Object, oc obCache) error {
+	start := int(oc.slot) * m.topM
+	hits := m.top.ReverseTopM(o.Point, m.topM, m.ranked[start:start:start+m.topM])
+	if len(hits) == 0 {
+		return fmt.Errorf("core: no functions for skyline object %d", o.ID)
+	}
+	oc.cur, oc.n = 0, int32(len(hits))
+	m.ocache[o.ID] = oc
 	return nil
 }
 
@@ -159,9 +206,9 @@ func (m *sbMatcher) loop() error {
 		if !ok {
 			return fmt.Errorf("core: missing ocache for skyline object %d", o.ID)
 		}
-		if m.fbestGen[oc.fnIdx] != m.gen {
-			m.fbestGen[oc.fnIdx] = m.gen
-			fbestOrder = append(fbestOrder, oc.fnIdx)
+		if fIdx := int(m.best(oc).Idx); m.fbestGen[fIdx] != m.gen {
+			m.fbestGen[fIdx] = m.gen
+			fbestOrder = append(fbestOrder, fIdx)
 		}
 	}
 	m.fbest = fbestOrder
@@ -179,7 +226,7 @@ func (m *sbMatcher) loop() error {
 	pairs := m.pairs[:0]
 	for _, fIdx := range fbestOrder {
 		fc := m.fcache[fIdx]
-		if m.ocache[fc.obj.ID].fnIdx == fIdx {
+		if int(m.best(m.ocache[fc.obj.ID]).Idx) == fIdx {
 			pairs = append(pairs, matchedPair{fIdx: fIdx, obj: fc.obj, score: fc.score})
 		}
 	}
@@ -205,16 +252,17 @@ func (m *sbMatcher) loop() error {
 		m.queue.push(Pair{FuncID: m.fs.ids[p.fIdx], ObjID: p.obj.ID, Score: p.score})
 		m.c.PairsEmitted++
 		m.matchedGen[p.fIdx] = m.gen
-		if err := m.top1.Remove(p.fIdx); err != nil {
+		if err := m.top.Remove(p.fIdx); err != nil {
 			return err
 		}
 		m.fcache[p.fIdx] = fnCache{}
 		if m.resid.take(p.obj.ID) {
 			removedObjs = append(removedObjs, p.obj.ID)
+			m.free = append(m.free, m.ocache[p.obj.ID].slot)
 			delete(m.ocache, p.obj.ID)
 		}
-		// A surviving object keeps its skyline slot; its ocache entry
-		// points at the just-matched function and is refreshed below.
+		// A surviving object keeps its skyline slot; its list's best hit is
+		// the just-matched function and advances below.
 	}
 	m.removed = removedObjs
 
@@ -225,22 +273,32 @@ func (m *sbMatcher) loop() error {
 		return err
 	}
 
-	if m.top1.AliveCount() == 0 {
+	if m.top.AliveCount() == 0 {
 		return nil
 	}
 
-	// Refresh ocache: objects whose best function was just assigned need a
-	// new reverse top-1; new skyline members need their first one.
+	// Refresh ocache: an object whose best function was just assigned moves
+	// to its next alive hit, and runs a new reverse top-m only when its
+	// list is exhausted; new skyline members need their first one.
 	for _, o := range m.maint.Skyline() {
 		oc, ok := m.ocache[o.ID]
-		if ok && m.matchedGen[oc.fnIdx] != m.gen {
+		if !ok {
+			oc = obCache{slot: m.newSlot()}
+		} else if m.matchedGen[m.best(oc).Idx] != m.gen {
 			continue
+		} else {
+			oc.cur++
+			for oc.cur < oc.n && !m.top.Alive(int(m.best(oc).Idx)) {
+				oc.cur++
+			}
+			if oc.cur < oc.n {
+				m.ocache[o.ID] = oc
+				continue
+			}
 		}
-		idx, score, okTA := m.top1.ReverseTop1(o.Point)
-		if !okTA {
-			return fmt.Errorf("core: function set exhausted with objects remaining")
+		if err := m.rank(o, oc); err != nil {
+			return err
 		}
-		m.ocache[o.ID] = obCache{fnIdx: idx, score: score}
 	}
 
 	// Refresh fcache: invalidate entries whose best object was assigned,

@@ -97,9 +97,14 @@ func ReadAssignments(r io.Reader) ([]prefmatch.Assignment, error) {
 		}
 		q, err1 := strconv.Atoi(row[0])
 		o, err2 := strconv.Atoi(row[1])
-		s, err3 := strconv.ParseFloat(row[2], 64)
-		if err1 != nil || err2 != nil || err3 != nil {
+		if err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("csvio: pair row %d: parse error", i)
+		}
+		// As in parseIDRow, a NaN or infinite score is as bad as an
+		// unparsable one: no preference scores a finite object that way.
+		s, err := strconv.ParseFloat(row[2], 64)
+		if err != nil || math.IsNaN(s) || math.IsInf(s, 0) {
+			return nil, fmt.Errorf("csvio: pair row %d column 2: bad value %q", i, row[2])
 		}
 		out = append(out, prefmatch.Assignment{QueryID: q, ObjectID: o, Score: s})
 	}

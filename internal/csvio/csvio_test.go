@@ -76,6 +76,7 @@ func TestAssignmentsRoundTrip(t *testing.T) {
 func TestReadErrors(t *testing.T) {
 	readObjects := func(s string) error { _, err := ReadObjects(strings.NewReader(s)); return err }
 	readQueries := func(s string) error { _, err := ReadQueries(strings.NewReader(s)); return err }
+	readPairs := func(s string) error { _, err := ReadAssignments(strings.NewReader(s)); return err }
 	cases := []struct {
 		name string
 		read func(s string) error
@@ -90,8 +91,11 @@ func TestReadErrors(t *testing.T) {
 		{"query bad id", readQueries, "x,0.5\n", ""},
 		{"query Inf", readQueries, "0,Inf,1\n", `query row 0 column 1: bad value "Inf"`},
 		{"query +Infinity", readQueries, "0,1,+Infinity\n", `query row 0 column 2: bad value "+Infinity"`},
-		{"pair wrong arity", func(s string) error { _, err := ReadAssignments(strings.NewReader(s)); return err }, "1,2\n", ""},
-		{"pair bad score", func(s string) error { _, err := ReadAssignments(strings.NewReader(s)); return err }, "1,2,x\n", ""},
+		{"pair wrong arity", readPairs, "1,2\n", ""},
+		{"pair bad score", readPairs, "1,2,x\n", `pair row 0 column 2: bad value "x"`},
+		{"pair NaN score", readPairs, "1,2,NaN\n", `pair row 0 column 2: bad value "NaN"`},
+		{"pair +Inf score", readPairs, "1,2,0.5\n3,4,+Inf\n", `pair row 1 column 2: bad value "+Inf"`},
+		{"pair -Infinity score", readPairs, "1,2,-Infinity\n", `pair row 0 column 2: bad value "-Infinity"`},
 	}
 	for _, c := range cases {
 		err := c.read(c.in)

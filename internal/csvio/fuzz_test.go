@@ -53,8 +53,8 @@ func finite(vals []float64) bool {
 
 // FuzzCSVRoundTrip hands arbitrary bytes to each reader. No input may panic;
 // each object, query or pair set a reader accepts must come back bit for bit
-// through its writer and reader; and no accepted object or query may hold a
-// NaN or an infinity. The seed corpus lives in testdata/fuzz.
+// through its writer and reader; and no accepted object, query or pair score
+// may be a NaN or an infinity. The seed corpus lives in testdata/fuzz.
 func FuzzCSVRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if objs, err := ReadObjects(bytes.NewReader(data)); err == nil {
@@ -94,6 +94,11 @@ func FuzzCSVRoundTrip(f *testing.F) {
 			}
 		}
 		if as, err := ReadAssignments(bytes.NewReader(data)); err == nil {
+			for _, a := range as {
+				if !finite([]float64{a.Score}) {
+					t.Fatalf("accepted pair (%d, %d) with score %v", a.QueryID, a.ObjectID, a.Score)
+				}
+			}
 			var buf bytes.Buffer
 			if err := WriteAssignments(&buf, as); err != nil {
 				t.Fatalf("WriteAssignments: %v", err)

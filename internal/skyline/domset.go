@@ -9,21 +9,20 @@ import (
 	"prefmatch/internal/vec"
 )
 
-// maxCells caps the cells of a dominance set. The root's children start one
-// cell each; a root with more children than this spreads them evenly over
-// maxCells cells (childCell), so a wide root does not pay a corner test per
-// child on every dominance test. 16 was chosen by measurement: an SB wave
-// of 500 functions over 20k anti-correlated 2-d objects, whose root has
-// 100 children, took about 22 ms with one cell per child and 10 ms with
-// 16 cells (2-vCPU x86 VM).
+// maxCells caps the cells of a dominance set. The root starts with this
+// budget and splits it among its children, and they among theirs, until
+// each subtree has one cell (childCell): a node with fewer children than
+// its budget gives each a share to split further, and a node with more
+// spreads them evenly over its budget, so a wide node does not pay a
+// corner test per child on every dominance test. 16 was chosen by
+// measurement: an SB wave of 500 functions over 20k anti-correlated 2-d
+// objects, whose root has 100 children, took about 22 ms with one cell per
+// child and 10 ms with 16 cells (2-vCPU x86 VM).
 const maxCells = 16
 
-// noCell marks the root entry, which belongs to no cell.
-const noCell int8 = -1
-
 // domSet is a columnar dominance index over a set of skyline objects,
-// partitioned into cells: every member belongs to the cell of the root
-// subtree it came from. Each cell keeps its members' points in one
+// partitioned into cells: every member belongs to the cell of the subtree
+// it came from. Each cell keeps its members' points in one
 // dim-strided slab, in descending order of coordinate sum, with the sums
 // and owning objects alongside, plus the running max corner of its
 // members. "Which member dominates p?" probes p's own cell first, then the
@@ -136,13 +135,12 @@ func (s *domSet) Drop(gone map[index.ObjID]bool) {
 	}
 }
 
-// Dominator returns a member dominating p, or nil. cell is p's own cell
-// (noCell for the root entry, which has none). The own cell is probed
-// first, then every other cell in cell order, until one yields a
-// dominator. Each probe of a non-empty cell charges one dominance check to
-// c for its corner test and one per member tested. The result is the
-// largest-sum dominator (the earliest inserted on ties) of the first cell
-// holding one.
+// Dominator returns a member dominating p, or nil. cell is p's own cell,
+// which is probed first (a cell the set does not have is skipped), then
+// every other cell in cell order, until one yields a dominator. Each probe
+// of a non-empty cell charges one dominance check to c for its corner test
+// and one per member tested. The result is the largest-sum dominator (the
+// earliest inserted on ties) of the first cell holding one.
 func (s *domSet) Dominator(p vec.Point, cell int8, c *stats.Counters) *Object {
 	if s.n == 0 {
 		return nil

@@ -20,9 +20,11 @@
 // Every pruning decision — a popped entry, an expanded child, a plist entry
 // being redistributed — asks whether some current skyline member dominates
 // a point. domSet answers it from a columnar mirror of the skyline split
-// into cells, one per subtree of the root (at most maxCells; on a sharded
-// composite the subtrees are the shards). Every entry carries the cell of
-// the subtree it lies in. A test probes the entry's own cell first, then
+// into at most maxCells cells, each a subtree: the root's budget of cells
+// is split among its children and theirs until every subtree has one
+// (childCell), so a narrow root, such as a Dynamic index's synthetic root
+// over its base tree, still gets every cell. Every entry carries the cell
+// of the subtree it lies in. A test probes the entry's own cell first, then
 // the others, and scans only cells whose max corner is ≥ the point in every
 // coordinate, since no other cell can hold a dominator. Each cell is
 // sorted by descending coordinate sum, and a scan stops at the first
@@ -80,7 +82,7 @@ func (m Mode) String() string {
 // Object is a current skyline member together with its pruned-entry list.
 type Object struct {
 	ID    index.ObjID
-	cell  int8 // dominance-set cell: the root subtree it came from
+	cell  int8 // dominance-set cell: the subtree it came from
 	Point vec.Point
 	Sum   float64 // cached coordinate sum (tie-break key)
 
@@ -97,42 +99,46 @@ func (o *Object) PlistLen() int { return o.plen }
 // item is a BBS heap element or plist member: either an R-tree node entry or
 // an individual object. Only an entry's best point takes part in dominance,
 // so a node keeps its MBR's Hi corner and nothing else. cell is the
-// dominance-set cell of the root subtree the entry lies in (childCell). It
-// fits the padding after isObj, so an item stays 48 bytes.
+// dominance-set cell the entry lies in, and budget the number of cells,
+// starting at cell, that its subtree may still split into (childCell).
+// Both fit the padding after isObj, so an item stays 48 bytes, and a
+// parked plist entry keeps them.
 type item struct {
-	dist  float64          // L1 distance of hi to the best corner
-	hi    vec.Point        // the object's point, or the node MBR's Hi corner
-	id    index.ObjID      // objects
-	page  pagedfile.PageID // nodes
-	next  int32            // next arena slot of the plist holding this entry, 0 at the end
-	isObj bool
-	cell  int8
+	dist   float64          // L1 distance of hi to the best corner
+	hi     vec.Point        // the object's point, or the node MBR's Hi corner
+	id     index.ObjID      // objects
+	page   pagedfile.PageID // nodes
+	next   int32            // next arena slot of the plist holding this entry, 0 at the end
+	isObj  bool
+	cell   int8
+	budget int8
 }
 
 // rootItem wraps the root page in an item with an unbounded best corner: it
 // can never be dominated and its -Inf key pops it first, so the true root
-// MBR does not need to be known before the first read. It lies in no cell.
+// MBR does not need to be known before the first read. It is cell 0, with
+// every cell to split among its subtrees.
 func rootItem(page pagedfile.PageID, dim int) item {
 	hi := make(vec.Point, dim)
 	for i := range hi {
 		hi[i] = math.Inf(1)
 	}
-	return item{dist: math.Inf(-1), page: page, hi: hi, cell: noCell}
+	return item{dist: math.Inf(-1), page: page, hi: hi, budget: maxCells}
 }
 
-// childCell returns the cell of child i of an n-entry node in cell parent:
-// below the root a child inherits its parent's cell, and child i of the
-// root starts cell i, or cell ⌊maxCells·i/n⌋ when the root has more than
-// maxCells children.
-func childCell(parent int8, i, n int) int8 {
-	switch {
-	case parent != noCell:
-		return parent
-	case n > maxCells:
-		return int8(maxCells * i / n)
-	default:
-		return int8(i)
+// childCell returns the cell and budget of child i of an n-entry node in
+// cell with budget cells. Child i takes cell + ⌊budget·i/n⌋. With fewer
+// children than cells, each child gets budget/n cells of its own to split
+// further; otherwise the children share the cells evenly with a budget of
+// one, and their descendants inherit their cell. So a node with one child
+// hands its whole budget down, and every cell stays below maxCells.
+func childCell(cell, budget int8, i, n int) (int8, int8) {
+	b := int(budget)
+	c := cell + int8(b*i/n)
+	if n < b {
+		return c, int8(b / n)
 	}
+	return c, 1
 }
 
 // less orders the BBS heap: ascending distance to the best corner; ties are
@@ -406,7 +412,7 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 		if err != nil {
 			return err
 		}
-		if m.expandFlat(n, it.cell, h, skipPlist) {
+		if m.expandFlat(n, it, h, skipPlist) {
 			continue
 		}
 		for i := 0; i < n.Len(); i++ {
@@ -421,7 +427,7 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 				r := n.Rect(i)
 				child = item{dist: r.BestCornerDist(), page: n.ChildPage(i), hi: r.Hi}
 			}
-			child.cell = childCell(it.cell, i, n.Len())
+			child.cell, child.budget = childCell(it.cell, it.budget, i, n.Len())
 			if owner := m.dom.Dominator(child.hi, child.cell, m.c); owner != nil {
 				if !skipPlist {
 					m.park(owner, child)
@@ -440,9 +446,9 @@ func (m *Maintainer) run(h *pqueue.Queue[item], skipPlist bool, known map[index.
 // assertion per node instead of an Object/Rect dispatch per entry. The heap
 // keys are computed by the same Point.BestCornerDist accumulation as the
 // generic path, so the traversal (and every tie-break) is bit-identical.
-// cell is the expanded node's own cell. Reports false when the node has no
-// flat payload.
-func (m *Maintainer) expandFlat(n index.Node, cell int8, h *pqueue.Queue[item], skipPlist bool) bool {
+// parent is the expanded node's own entry, whose cell and budget its
+// children split. Reports false when the node has no flat payload.
+func (m *Maintainer) expandFlat(n index.Node, parent item, h *pqueue.Queue[item], skipPlist bool) bool {
 	d := m.tree.Dim()
 	if n.Leaf() {
 		fl, ok := n.(index.FlatLeaf)
@@ -455,7 +461,8 @@ func (m *Maintainer) expandFlat(n index.Node, cell int8, h *pqueue.Queue[item], 
 				continue
 			}
 			p := vec.Point(pts[i*d : i*d+d : i*d+d])
-			child := item{dist: p.BestCornerDist(), isObj: true, id: id, hi: p, cell: childCell(cell, i, len(ids))}
+			child := item{dist: p.BestCornerDist(), isObj: true, id: id, hi: p}
+			child.cell, child.budget = childCell(parent.cell, parent.budget, i, len(ids))
 			if owner := m.dom.Dominator(p, child.cell, m.c); owner != nil {
 				if !skipPlist {
 					m.park(owner, child)
@@ -473,7 +480,8 @@ func (m *Maintainer) expandFlat(n index.Node, cell int8, h *pqueue.Queue[item], 
 	_, hi := fi.FlatRects()
 	for i := 0; i < n.Len(); i++ {
 		hiP := vec.Point(hi[i*d : i*d+d : i*d+d])
-		child := item{dist: hiP.BestCornerDist(), page: n.ChildPage(i), hi: hiP, cell: childCell(cell, i, n.Len())}
+		child := item{dist: hiP.BestCornerDist(), page: n.ChildPage(i), hi: hiP}
+		child.cell, child.budget = childCell(parent.cell, parent.budget, i, n.Len())
 		if owner := m.dom.Dominator(hiP, child.cell, m.c); owner != nil {
 			if !skipPlist {
 				m.park(owner, child)

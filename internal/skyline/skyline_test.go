@@ -3,8 +3,10 @@ package skyline
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"prefmatch/internal/index"
 	"prefmatch/internal/index/paged"
@@ -199,7 +201,7 @@ func TestRemoveNonMemberFails(t *testing.T) {
 // The dominance set answers exactly like a linear Dominates scan over its
 // members, across random insert/drop interleavings on a coarse grid (equal
 // sums, duplicate points, coordinates equal to a cell's max corner), with
-// members in random cells, queries from random own cells (noCell and
+// members in random cells, queries from random own cells (-1 and
 // never-used cells included), and for both object points and MBR Hi
 // corners. Any dominator is a valid answer; the returned one must be a
 // member that really dominates the query. Every cell stays in
@@ -249,7 +251,7 @@ func TestDomSetMatchesLinearScan(t *testing.T) {
 						q[j] = max(q[j], o[j])
 					}
 				}
-				own := int8(rng.Intn(cells+2) - 1) // noCell .. one past the last used cell
+				own := int8(rng.Intn(cells+2) - 1) // -1 .. one past the last used cell
 				want := false
 				for _, o := range members {
 					if o.Point.Dominates(q) {
@@ -638,5 +640,89 @@ func TestTop1OfMonotoneFunctionsOnSkyline(t *testing.T) {
 		if !member[items[best].ID] {
 			t.Fatalf("top-1 object %d of trial %d is not on the skyline", items[best].ID, trial)
 		}
+	}
+}
+
+// childCell spends the root's budget of maxCells cells downwards. Below a
+// root of each fan-out, the first level gets the listed cells and budgets,
+// and deeper levels (fan-outs 3, then 7) split what is left: every child's
+// cells lie within its parent's, siblings' cells do not overlap while
+// budget remains, every cell stays below maxCells, and once a budget is
+// spent (one cell) every descendant inherits its cell.
+func TestChildCellSpendsBudget(t *testing.T) {
+	type cb struct{ cell, budget int8 }
+	for _, tc := range []struct {
+		n     int
+		first []cb // nil: check the spread below
+	}{
+		{1, []cb{{0, 16}}},
+		{2, []cb{{0, 8}, {8, 8}}},
+		{4, []cb{{0, 4}, {4, 4}, {8, 4}, {12, 4}}},
+		{5, []cb{{0, 3}, {3, 3}, {6, 3}, {9, 3}, {12, 3}}},
+		{16, nil},
+		{100, nil},
+	} {
+		var got []cb
+		for i := 0; i < tc.n; i++ {
+			c, b := childCell(0, maxCells, i, tc.n)
+			got = append(got, cb{c, b})
+		}
+		if tc.first != nil && !slices.Equal(got, tc.first) {
+			t.Errorf("root fan-out %d: children get %v, want %v", tc.n, got, tc.first)
+		}
+		if tc.first == nil {
+			// A root at least as wide as the budget spreads its children
+			// evenly over every cell, one budget each.
+			used := map[int8]bool{}
+			for i, g := range got {
+				if want := int8(maxCells * i / tc.n); g != (cb{want, 1}) {
+					t.Errorf("root fan-out %d: child %d gets %v, want {%d 1}", tc.n, i, g, want)
+				}
+				used[g.cell] = true
+			}
+			if len(used) != maxCells {
+				t.Errorf("root fan-out %d: %d cells used, want %d", tc.n, len(used), maxCells)
+			}
+		}
+		// Walk two more levels below every first-level child.
+		var walk func(parent cb, fanouts []int)
+		walk = func(parent cb, fanouts []int) {
+			if len(fanouts) == 0 {
+				return
+			}
+			n := fanouts[0]
+			prevEnd := parent.cell
+			for i := 0; i < n; i++ {
+				c, b := childCell(parent.cell, parent.budget, i, n)
+				if c < 0 || c >= maxCells || b < 1 {
+					t.Fatalf("root fan-out %d: child %d of %v gets cell %d budget %d", tc.n, i, parent, c, b)
+				}
+				if c < parent.cell || c+b > parent.cell+parent.budget {
+					t.Fatalf("root fan-out %d: child %v of %v leaves its parent's cells", tc.n, cb{c, b}, parent)
+				}
+				if parent.budget == 1 && (c != parent.cell || b != 1) {
+					t.Fatalf("root fan-out %d: child %v of spent %v does not inherit", tc.n, cb{c, b}, parent)
+				}
+				if b > 1 && c < prevEnd {
+					t.Fatalf("root fan-out %d: child %v of %v overlaps a sibling", tc.n, cb{c, b}, parent)
+				}
+				prevEnd = c + b
+				walk(cb{c, b}, fanouts[1:])
+			}
+		}
+		for _, g := range got {
+			walk(g, []int{3, 7})
+		}
+	}
+}
+
+// An item carries its cell budget in padding: on a 64-bit platform it
+// stays 48 bytes.
+func TestItemSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("item layout is pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(item{}); n != 48 {
+		t.Fatalf("item is %d bytes, want 48", n)
 	}
 }

@@ -4,9 +4,14 @@
 // paper) over D sorted coefficient lists.
 //
 // List Lᵢ holds (f.αᵢ, f) for every function f, sorted descending on the
-// i-th coefficient. The search consumes the lists round-robin, maintaining
-// the best function seen so far, and stops as soon as the best seen score
-// exceeds a threshold that upper-bounds every unseen function.
+// i-th coefficient. The search consumes the lists round-robin, keeping the
+// best m functions seen so far, and stops as soon as the m-th best score
+// exceeds a threshold that upper-bounds every unseen function: Fagin et
+// al.'s top-k stop, of which the paper's reverse top-1 is the m = 1 case.
+// The SB matcher keeps each skyline object's top-m list. Functions only
+// leave during a matching, so the first alive entry of an exact list is the
+// object's best function until every entry has been matched, and only then
+// does the object need a new search.
 //
 // The naive TA threshold T = Σ lᵢ·oᵢ (lᵢ = last coefficient seen in list i)
 // ignores that the coefficients of a normalised function sum to 1, so
@@ -53,7 +58,7 @@ type listEntry struct {
 
 // Lists is the sorted-list index over a function set. It is the data
 // structure behind the SB matcher's BestPair module. Remove marks a
-// function dead; the next ReverseTop1 compacts the dead entries out of the
+// function dead; the next ReverseTopM compacts the dead entries out of the
 // D lists first, so the scan never meets one.
 type Lists struct {
 	d       int
@@ -166,16 +171,32 @@ func (l *Lists) compact() {
 	l.dirty = false
 }
 
-// ReverseTop1 returns the index and score of the alive function that scores
-// o highest, under the object-side order (higher score, then smaller
-// function ID). ok is false when no functions remain. o must have the
-// lists' dimensionality.
-func (l *Lists) ReverseTop1(o vec.Point) (bestIdx int, bestScore float64, ok bool) {
+// Hit is one function of a reverse top-m answer: its position in the
+// function slice and its score for the object.
+type Hit struct {
+	Idx   int32
+	Score float64
+}
+
+// ReverseTopM appends to dst the alive functions that score o highest, at
+// most m of them, best first under the object-side order (higher score,
+// then smaller function ID), and returns the extended slice. It appends
+// nothing when no function remains. o must have the lists' dimensionality,
+// and m must be at least 1.
+//
+// The scan stops once the m-th best score seen exceeds the threshold by
+// thresholdSlack, so every unseen function ranks strictly below all m hits
+// and the list is exact, ties included. With m = 1 this is § IV-A's
+// reverse top-1, access for access.
+func (l *Lists) ReverseTopM(o vec.Point, m int, dst []Hit) []Hit {
 	if len(o) != l.d {
 		panic(fmt.Sprintf("ta: object dimension %d, lists dimension %d", len(o), l.d))
 	}
+	if m < 1 {
+		panic(fmt.Sprintf("ta: reverse top-%d", m))
+	}
 	if l.live == 0 {
-		return -1, 0, false
+		return dst
 	}
 	if l.dirty {
 		l.compact()
@@ -190,8 +211,7 @@ func (l *Lists) ReverseTop1(o vec.Point) (bestIdx int, bestScore float64, ok boo
 	rankDims(l.dimOrder, o)
 
 	d := l.d
-	bestIdx = -1
-	bestID := 0
+	base := len(dst)
 	seen, accesses := 0, 0
 	for {
 		progressed := false
@@ -213,21 +233,46 @@ func (l *Lists) ReverseTop1(o vec.Point) (bestIdx int, bestScore float64, ok boo
 				// vec.Dot accumulates w·o in Function.Score's order, so the
 				// score is bit-identical.
 				score := vec.Dot(l.weights[i*d:i*d+d:i*d+d], o)
-				if bestIdx < 0 || prefs.BetterFunc(score, l.ids[i], bestScore, bestID) {
-					bestIdx, bestScore, bestID = i, score, l.ids[i]
+				// A score below a full list's last cannot enter it; most
+				// functions seen are rejected here, without a call.
+				if len(dst)-base < m || score >= dst[len(dst)-1].Score {
+					dst = Offer(dst, base, m, Hit{Idx: e.idx, Score: score}, l.ids)
 				}
 			}
 		}
 		if seen >= l.live || !progressed {
 			break
 		}
-		if bestScore > l.threshold(o)+thresholdSlack {
+		if len(dst)-base == m && dst[len(dst)-1].Score > l.threshold(o)+thresholdSlack {
 			break
 		}
 	}
 	l.c.TAListAccesses += int64(accesses)
 	l.c.ScoreEvals += int64(seen)
-	return bestIdx, bestScore, true
+	return dst
+}
+
+// Offer inserts h into the best-first list dst[base:], which holds at most
+// m hits, and returns the list: h goes after every hit that beats it under
+// the object-side order (higher score, then smaller ID; ids maps a
+// function position to its ID), and the worst hit drops out of a full
+// list. A hit that ranks below a full list's last is not kept.
+func Offer(dst []Hit, base, m int, h Hit, ids []int) []Hit {
+	id := ids[h.Idx]
+	i := len(dst)
+	if i-base == m {
+		if last := dst[i-1]; !prefs.BetterFunc(h.Score, id, last.Score, ids[last.Idx]) {
+			return dst
+		}
+		i--
+	} else {
+		dst = append(dst, h)
+	}
+	for ; i > base && prefs.BetterFunc(h.Score, id, dst[i-1].Score, ids[dst[i-1].Idx]); i-- {
+		dst[i] = dst[i-1]
+	}
+	dst[i] = h
+	return dst
 }
 
 // threshold returns the current stopping bound: an upper bound on the score

@@ -3,6 +3,8 @@ package ta
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"prefmatch/internal/prefs"
@@ -29,6 +31,15 @@ func randObj(rng *rand.Rand, d int) vec.Point {
 		p[i] = rng.Float64()
 	}
 	return p
+}
+
+// top1 runs the reverse top-1 search: ReverseTopM with m = 1.
+func top1(l *Lists, o vec.Point) (idx int, score float64, ok bool) {
+	hits := l.ReverseTopM(o, 1, nil)
+	if len(hits) == 0 {
+		return -1, 0, false
+	}
+	return int(hits[0].Idx), hits[0].Score, true
 }
 
 // scanBest is the exhaustive reference for reverse top-1.
@@ -70,7 +81,7 @@ func TestReverseTop1MatchesScan(t *testing.T) {
 		}
 		for trial := 0; trial < 100; trial++ {
 			o := randObj(rng, d)
-			gotIdx, gotScore, ok := l.ReverseTop1(o)
+			gotIdx, gotScore, ok := top1(l, o)
 			if !ok {
 				t.Fatal("no result with live functions")
 			}
@@ -91,7 +102,7 @@ func TestReverseTop1UnderRemovals(t *testing.T) {
 	}
 	for l.AliveCount() > 0 {
 		o := randObj(rng, 3)
-		gotIdx, gotScore, ok := l.ReverseTop1(o)
+		gotIdx, gotScore, ok := top1(l, o)
 		if !ok {
 			t.Fatal("no result with live functions")
 		}
@@ -104,7 +115,7 @@ func TestReverseTop1UnderRemovals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, ok := l.ReverseTop1(randObj(rng, 3)); ok {
+	if _, _, ok := top1(l, randObj(rng, 3)); ok {
 		t.Fatal("result from an empty function set")
 	}
 }
@@ -146,7 +157,7 @@ func TestDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	l.ReverseTop1(vec.Point{0.5})
+	top1(l, vec.Point{0.5})
 }
 
 // The tight threshold must (a) never exceed the naive threshold, and
@@ -253,7 +264,7 @@ func TestTightThresholdStopsEarlier(t *testing.T) {
 		}
 		l.TightThreshold = tight
 		for _, o := range objs {
-			l.ReverseTop1(o)
+			top1(l, o)
 		}
 		return c.TAListAccesses
 	}
@@ -283,8 +294,8 @@ func TestThresholdVariantsAgree(t *testing.T) {
 	ln.TightThreshold = false
 	for trial := 0; trial < 200; trial++ {
 		o := randObj(rng, 3)
-		ti, ts, _ := lt.ReverseTop1(o)
-		ni, ns, _ := ln.ReverseTop1(o)
+		ti, ts, _ := top1(lt, o)
+		ni, ns, _ := top1(ln, o)
 		if ti != ni || math.Abs(ts-ns) > 1e-12 {
 			t.Fatalf("trial %d: tight f%d (%v) vs naive f%d (%v)", trial, ti, ts, ni, ns)
 		}
@@ -303,7 +314,7 @@ func TestTieBreakBySmallestFunctionID(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := vec.Point{0.5, 0.5} // all three score 0.5
-	idx, score, ok := l.ReverseTop1(o)
+	idx, score, ok := top1(l, o)
 	if !ok || score != 0.5 {
 		t.Fatalf("score = %v ok=%v", score, ok)
 	}
@@ -319,7 +330,7 @@ func TestCountersAccumulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.ReverseTop1(vec.Point{0.3, 0.6, 0.1})
+	top1(l, vec.Point{0.3, 0.6, 0.1})
 	if c.TAListAccesses == 0 || c.ScoreEvals == 0 {
 		t.Fatalf("counters not incremented: %+v", c)
 	}
@@ -336,8 +347,135 @@ func TestSingleFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, score, ok := l.ReverseTop1(vec.Point{1, 0})
+	idx, score, ok := top1(l, vec.Point{1, 0})
 	if !ok || idx != 0 || math.Abs(score-0.2) > 1e-12 {
 		t.Fatalf("got %d %v %v", idx, score, ok)
+	}
+}
+
+// sortedAlive is the exhaustive reference for reverse top-m: every alive
+// function, best first (score descending, then ID ascending).
+func sortedAlive(fns []prefs.Function, alive func(int) bool, o vec.Point) []Hit {
+	var all []Hit
+	for i := range fns {
+		if alive(i) {
+			all = append(all, Hit{Idx: int32(i), Score: fns[i].Score(o)})
+		}
+	}
+	sort.Slice(all, func(a, b int) bool {
+		return prefs.BetterFunc(all[a].Score, fns[all[a].Idx].ID, all[b].Score, fns[all[b].Idx].ID)
+	})
+	return all
+}
+
+// ReverseTopM returns exactly the first m alive functions of a brute-force
+// sort, in its order, bit for bit, under random removals and for m above
+// the alive count. Weights and coordinates are coarse, so scores tie often
+// and function IDs decide the order; IDs run opposite to positions, so a
+// position order would not pass.
+func TestReverseTopMMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, d := range []int{2, 3, 4} {
+		fns := make([]prefs.Function, 120)
+		for i := range fns {
+			w := make([]float64, d)
+			for j := range w {
+				w[j] = float64(rng.Intn(3))
+			}
+			w[rng.Intn(d)]++
+			fns[i] = prefs.MustFunction(len(fns)-i, w)
+		}
+		for _, tight := range []bool{true, false} {
+			l, err := NewLists(fns, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l.TightThreshold = tight
+			for l.AliveCount() > 0 {
+				o := make(vec.Point, d)
+				for j := range o {
+					o[j] = float64(rng.Intn(5)) / 4
+				}
+				want := sortedAlive(fns, l.Alive, o)
+				for _, m := range []int{1, 2, 8, len(fns) + 1} {
+					got := l.ReverseTopM(o, m, []Hit{{Idx: -1}})
+					if got[0].Idx != -1 {
+						t.Fatalf("d=%d m=%d: dst's existing entry overwritten", d, m)
+					}
+					got = got[1:]
+					n := min(m, len(want))
+					if len(got) != n {
+						t.Fatalf("d=%d m=%d alive=%d: %d hits, want %d", d, m, l.AliveCount(), len(got), n)
+					}
+					for i := range got {
+						if got[i].Idx != want[i].Idx || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+							t.Fatalf("d=%d m=%d tight=%v alive=%d o=%v: hit %d is f%d (%v), want f%d (%v)",
+								d, m, tight, l.AliveCount(), o, i, fns[got[i].Idx].ID, got[i].Score, fns[want[i].Idx].ID, want[i].Score)
+						}
+					}
+				}
+				// Remove the best and a random alive function, as the
+				// matcher's waves do.
+				if err := l.Remove(int(want[0].Idx)); err != nil {
+					t.Fatal(err)
+				}
+				if len(want) > 1 {
+					if err := l.Remove(int(want[1+rng.Intn(len(want)-1)].Idx)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got := l.ReverseTopM(vec.Point(make([]float64, d)), 8, nil); len(got) != 0 {
+				t.Fatalf("d=%d: %d hits from an empty function set", d, len(got))
+			}
+		}
+	}
+}
+
+// With m = 1 the search is the paper's reverse top-1 access for access:
+// on a fixed input with removals, the list accesses and score evaluations
+// are the values ReverseTop1 recorded before the top-m search replaced it.
+func TestReverseTopMOneKeepsTop1Counters(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	fns := randFuncs(rng, 1000, 4)
+	for _, tc := range []struct {
+		tight      bool
+		ta, scores int64
+	}{
+		{true, 52760, 52171},
+		{false, 262352, 198025},
+	} {
+		c := &stats.Counters{}
+		l, err := NewLists(fns, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.TightThreshold = tc.tight
+		orng := rand.New(rand.NewSource(13))
+		for q := 0; q < 300; q++ {
+			idx, _, _ := top1(l, randObj(orng, 4))
+			if q%3 == 0 {
+				if err := l.Remove(idx); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if c.TAListAccesses != tc.ta || c.ScoreEvals != tc.scores {
+			t.Errorf("tight=%v: TAListAccesses=%d ScoreEvals=%d, want %d and %d", tc.tight, c.TAListAccesses, c.ScoreEvals, tc.ta, tc.scores)
+		}
+	}
+}
+
+// Offer keeps a best-first list of at most m hits after base, and leaves
+// the entries before base alone.
+func TestOffer(t *testing.T) {
+	ids := []int{5, 3, 9, 1}
+	dst := []Hit{{Idx: 2, Score: 7}}
+	for _, h := range []Hit{{0, 0.5}, {1, 0.5}, {2, 0.9}, {3, 0.1}} {
+		dst = Offer(dst, 1, 3, h, ids)
+	}
+	want := []Hit{{2, 7}, {2, 0.9}, {1, 0.5}, {0, 0.5}}
+	if !slices.Equal(dst, want) {
+		t.Fatalf("Offer built %v, want %v", dst, want)
 	}
 }

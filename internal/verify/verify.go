@@ -6,6 +6,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 
 	"prefmatch/internal/core"
 	"prefmatch/internal/index"
@@ -124,7 +125,9 @@ func CheckProgressiveCapacitated(objs []index.Item, fns []prefs.Function, caps m
 			return fmt.Errorf("verify: pair %d assigns object %d beyond its capacity", idx, o.ID)
 		}
 		score := f.Score(o.Point)
-		if diff := score - p.Score; diff > 1e-9 || diff < -1e-9 {
+		// Accept only a difference known to be small: every comparison
+		// with a NaN is false, so a NaN score must fail this test.
+		if diff := math.Abs(score - p.Score); !(diff <= 1e-9) {
 			return fmt.Errorf("verify: pair %d reports score %v, recomputed %v", idx, p.Score, score)
 		}
 		// No unassigned function strictly prefers o (object-side order).

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math"
 	"testing"
 
 	"prefmatch/internal/core"
@@ -137,6 +138,23 @@ func TestCheckProgressiveRejectsWrongScore(t *testing.T) {
 	fns := []prefs.Function{prefs.MustFunction(0, []float64{1, 1})}
 	if err := CheckProgressive(objs, fns, []core.Pair{{FuncID: 0, ObjID: 0, Score: 0.123}}); err == nil {
 		t.Fatal("wrong score accepted")
+	}
+}
+
+// A NaN or infinite score is rejected like any other wrong score. NaN
+// fails every comparison, so a check written as "reject when the
+// difference is large" let it through.
+func TestCheckProgressiveRejectsNonFiniteScore(t *testing.T) {
+	objs := []index.Item{{ID: 0, Point: vec.Point{1, 1}}}
+	fns := []prefs.Function{prefs.MustFunction(0, []float64{1, 1})}
+	good := fns[0].Score(objs[0].Point)
+	if err := CheckProgressive(objs, fns, []core.Pair{{FuncID: 0, ObjID: 0, Score: good}}); err != nil {
+		t.Fatalf("right score rejected: %v", err)
+	}
+	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := CheckProgressive(objs, fns, []core.Pair{{FuncID: 0, ObjID: 0, Score: s}}); err == nil {
+			t.Errorf("score %v accepted", s)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"prefmatch"
+	"prefmatch/internal/dataset"
 )
 
 // TestShardedServerMatchManyEqualsSequential: parallel MatchMany on sharded
@@ -130,6 +131,49 @@ func TestShardedServerRejectsDestructiveAlgorithms(t *testing.T) {
 	for _, alg := range []prefmatch.Algorithm{prefmatch.BruteForce, prefmatch.Chain, prefmatch.BruteForceIncremental} {
 		if _, err := srv.Match(qs, &prefmatch.Options{Algorithm: alg}); err == nil {
 			t.Fatalf("%v accepted by sharded Server.Match", alg)
+		}
+	}
+}
+
+// TestDynamicMatchMakesMemoryDominanceChecks: SB's dominance cells split
+// the root's budget down past a narrow root, so a Dynamic server, whose
+// synthetic root has the base tree as its one child, gets the same cells
+// as Memory over the same objects and makes exactly as many dominance
+// checks, with the same matching. When cells started at the root's
+// children, the Dynamic server had one cell and made more checks.
+func TestDynamicMatchMakesMemoryDominanceChecks(t *testing.T) {
+	const d = 4
+	items := dataset.AntiCorrelated(5000, d, 1)
+	objs := make([]prefmatch.Object, len(items))
+	for i, it := range items {
+		objs[i] = prefmatch.Object{ID: int(it.ID), Values: it.Point}
+	}
+	fns := dataset.Functions(100, d, 2)
+	qs := make([]prefmatch.Query, len(fns))
+	for i, f := range fns {
+		qs[i] = prefmatch.Query{ID: f.ID, Weights: f.Weights}
+	}
+	var want *prefmatch.Result
+	for _, b := range []prefmatch.Backend{prefmatch.Memory, prefmatch.Dynamic} {
+		srv, err := prefmatch.NewServer(objs, &prefmatch.Options{Backend: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := srv.Match(qs, nil)
+		srv.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%v: %d dominance checks", b, res.Stats.DominanceChecks)
+		if want == nil {
+			want = res
+			continue
+		}
+		if !reflect.DeepEqual(res.Assignments, want.Assignments) {
+			t.Fatalf("%v matching differs from Memory's", b)
+		}
+		if res.Stats.DominanceChecks != want.Stats.DominanceChecks {
+			t.Errorf("%v made %d dominance checks, Memory %d", b, res.Stats.DominanceChecks, want.Stats.DominanceChecks)
 		}
 	}
 }
