@@ -4,6 +4,7 @@
 package prefmatch_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -134,5 +135,51 @@ func TestMatcherEmitted(t *testing.T) {
 	}
 	if m.Emitted() != 2 {
 		t.Fatalf("Emitted() = %d after drain", m.Emitted())
+	}
+}
+
+// TestObjectSetReportsFirstFault pins which error a faulty object set
+// reports: the first fault in input order, where an object's own checks
+// (dimension, ID range, capacity, finite values) come before the test for
+// an ID that an earlier object already has.
+func TestObjectSetReportsFirstFault(t *testing.T) {
+	nan := math.NaN()
+	set := func(ids ...int) []prefmatch.Object {
+		objs := make([]prefmatch.Object, len(ids))
+		for i, id := range ids {
+			objs[i] = prefmatch.Object{ID: id, Values: []float64{float64(i), 1}}
+		}
+		return objs
+	}
+	with := func(objs []prefmatch.Object, i int, f func(*prefmatch.Object)) []prefmatch.Object {
+		f(&objs[i])
+		return objs
+	}
+	setNaN := func(o *prefmatch.Object) { o.Values = []float64{nan, 1} }
+	cases := []struct {
+		name string
+		objs []prefmatch.Object
+		want string
+	}{
+		{"duplicate at 3, NaN at 5", with(set(10, 11, 12, 11, 14, 15), 5, setNaN),
+			"prefmatch: duplicate object ID 11"},
+		{"NaN at 3, duplicate at 5", with(set(10, 11, 12, 13, 14, 11), 3, setNaN),
+			"prefmatch: object 13 attribute 0 is NaN, want a finite value"},
+		{"two duplicate IDs, the later one repeated first", set(9, 7, 3, 7, 9),
+			"prefmatch: duplicate object ID 7"},
+		{"NaN on the duplicate itself", with(set(1, 2, 3, 1), 3, setNaN),
+			"prefmatch: object 1 attribute 0 is NaN, want a finite value"},
+		{"ID out of range at 2, duplicate at 4", set(1, 2, 1<<31, 3, 1),
+			"prefmatch: object ID 2147483648 out of range"},
+		{"duplicate at 1, ragged at 2", with(set(4, 4, 5), 2, func(o *prefmatch.Object) { o.Values = []float64{1} }),
+			"prefmatch: duplicate object ID 4"},
+		{"negative capacity at 0, duplicate at 1", with(set(4, 4), 0, func(o *prefmatch.Object) { o.Capacity = -1 }),
+			"prefmatch: object 4 has negative capacity -1"},
+	}
+	for _, tc := range cases {
+		_, err := prefmatch.NewServer(tc.objs, nil)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: NewServer error %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

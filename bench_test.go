@@ -420,6 +420,46 @@ func BenchmarkShardedTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild times server set-up from objects already in memory:
+// validation, conversion and the STR bulk load. "memory-1M" is a Memory
+// server over 1M independent 4-d objects (the set-up of bench/'s
+// topk-open), "dynamic-4shards-100K" a Dynamic server on 4 spatial shards
+// over 100K (session-churn's shape).
+func BenchmarkBuild(b *testing.B) {
+	configs := []struct {
+		name string
+		n    int
+		opts *prefmatch.Options
+	}{
+		{"memory-1M", 1_000_000, &prefmatch.Options{Backend: prefmatch.Memory}},
+		{"dynamic-4shards-100K", 100_000, &prefmatch.Options{
+			Backend: prefmatch.Dynamic, Shards: 4, ShardBy: prefmatch.ShardSpatial, MergeThreshold: 128,
+		}},
+	}
+	for _, cfg := range configs {
+		items := dataset.Independent(cfg.n, 4, 71)
+		objects := make([]prefmatch.Object, len(items))
+		for i, it := range items {
+			objects[i] = prefmatch.Object{ID: int(it.ID), Values: it.Point}
+		}
+		b.Run(cfg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				srv, err := prefmatch.NewServer(objects, cfg.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if err := srv.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/float64(cfg.n), "ns/object")
+		})
+	}
+}
+
 // BenchmarkServeMatchWaves measures full-matching throughput: independent
 // SB waves (each a complete stable matching of 50 queries against the full
 // object set) fanned across workers over one shared memory index.

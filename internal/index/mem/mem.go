@@ -336,73 +336,69 @@ func (ix *Index) BulkLoad(items []index.Item) error {
 		return nil
 	}
 
-	sorted := make([]index.Item, len(items))
-	copy(sorted, items)
-	groups := index.STRItems(sorted, d, ix.maxLeaf)
+	perm, sizes := index.STRItems(items, d, ix.maxLeaf)
 
 	// Leaf level: one object-ID slab and one dim-strided coordinate slab
-	// shared by every leaf. Copying the coordinates into the slab also
-	// detaches the index from the caller's point storage.
+	// shared by every leaf, filled in packing order. Copying the coordinates
+	// into the slab also detaches the index from the caller's point storage.
 	idSlab := make([]index.ObjID, len(items))
 	ptSlab := make([]float64, len(items)*d)
-	ix.nodes = make([]node, 0, 2*len(groups)+1)
-
-	type levelEntry struct {
-		rect  vec.Rect
-		child index.NodeID
+	for i, src := range perm {
+		idSlab[i] = items[src].ID
+		copy(ptSlab[i*d:(i+1)*d], items[src].Point)
 	}
-	level := make([]levelEntry, 0, len(groups))
+	ix.nodes = make([]node, 0, 2*len(sizes)+1)
+
+	// The level being packed, one entry per node: its MBR in flat lo/hi
+	// slabs and its ID.
+	lo := make([]float64, len(sizes)*d)
+	hi := make([]float64, len(sizes)*d)
+	kids := make([]index.NodeID, len(sizes))
 	off := 0
-	for _, g := range groups {
-		start := off
-		for _, it := range g {
-			idSlab[off] = it.ID
-			copy(ptSlab[off*d:(off+1)*d], it.Point)
-			off++
-		}
+	for g, sz := range sizes {
+		end := off + sz
 		n := node{
 			leaf: true,
 			dim:  int32(d),
-			ids:  idSlab[start:off:off],
-			pts:  ptSlab[start*d : off*d : off*d],
+			ids:  idSlab[off:end:end],
+			pts:  ptSlab[off*d : end*d : end*d],
 		}
-		id := ix.alloc(n)
-		level = append(level, levelEntry{rect: n.mbr(), child: id})
+		vec.FlatPointsMBR(lo[g*d:(g+1)*d], hi[g*d:(g+1)*d], n.pts)
+		kids[g] = ix.alloc(n)
+		off = end
 	}
-	for len(level) > 1 {
-		lv := level
-		groups := index.STRGroups(len(lv), func(i, dm int) float64 {
-			return (lv[i].rect.Lo[dm] + lv[i].rect.Hi[dm]) / 2
-		}, func(i int) int32 { return int32(lv[i].child) }, d, ix.maxInternal)
+	for len(kids) > 1 {
+		perm, sizes := index.STRGroups(lo, hi, kids, d, ix.maxInternal)
 		// Internal level: exactly-sized flat lo/hi/child slabs shared by the
 		// level's nodes (one entry per node of the level below).
-		loSlab := make([]float64, len(lv)*d)
-		hiSlab := make([]float64, len(lv)*d)
-		kidSlab := make([]index.NodeID, len(lv))
-		next := make([]levelEntry, 0, len(groups))
+		loSlab := make([]float64, len(kids)*d)
+		hiSlab := make([]float64, len(kids)*d)
+		kidSlab := make([]index.NodeID, len(kids))
+		for i, src := range perm {
+			s := int(src)
+			copy(loSlab[i*d:(i+1)*d], lo[s*d:(s+1)*d])
+			copy(hiSlab[i*d:(i+1)*d], hi[s*d:(s+1)*d])
+			kidSlab[i] = kids[s]
+		}
+		lo = make([]float64, len(sizes)*d)
+		hi = make([]float64, len(sizes)*d)
+		kids = make([]index.NodeID, len(sizes))
 		off := 0
-		for _, g := range groups {
-			start := off
-			for _, idx := range g {
-				e := lv[idx]
-				copy(loSlab[off*d:(off+1)*d], e.rect.Lo)
-				copy(hiSlab[off*d:(off+1)*d], e.rect.Hi)
-				kidSlab[off] = e.child
-				off++
-			}
+		for g, sz := range sizes {
+			end := off + sz
 			n := node{
 				leaf:     false,
 				dim:      int32(d),
-				lo:       loSlab[start*d : off*d : off*d],
-				hi:       hiSlab[start*d : off*d : off*d],
-				children: kidSlab[start:off:off],
+				lo:       loSlab[off*d : end*d : end*d],
+				hi:       hiSlab[off*d : end*d : end*d],
+				children: kidSlab[off:end:end],
 			}
-			id := ix.alloc(n)
-			next = append(next, levelEntry{rect: n.mbr(), child: id})
+			vec.FlatRectsMBR(lo[g*d:(g+1)*d], hi[g*d:(g+1)*d], n.lo, n.hi)
+			kids[g] = ix.alloc(n)
+			off = end
 		}
-		level = next
 	}
-	ix.root = level[0].child
+	ix.root = kids[0]
 	ix.size = len(items)
 	return nil
 }

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -62,38 +64,86 @@ func TestBulkLoadAndValidate(t *testing.T) {
 }
 
 // TestStructuralParityWithPaged asserts that bulk loading yields the same
-// tree shape as the paged backend for the same virtual page size: same node
-// count and same root MBR. This is what makes the two backends traverse
-// (and therefore tie-break) identically.
+// tree as the paged backend for the same virtual page size, node for node:
+// the same leaf IDs and points in the same order, and the same internal
+// MBRs with their children in the same order. This is what makes the two
+// backends traverse (and therefore tie-break) identically. Each page size
+// and dimension also builds a tree at least three levels deep.
 func TestStructuralParityWithPaged(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 10, 200, 2500} {
+	for _, pageSize := range []int{256, 512, 4096} {
 		for _, d := range []int{2, 4} {
-			items := randItems(rng, n, d, 32)
-			m, err := Build(d, items, &Options{PageSize: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := paged.Build(d, items, &paged.Options{PageSize: 512})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.NumPages() != p.NumPages() {
-				t.Fatalf("n=%d d=%d: mem has %d nodes, paged has %d pages", n, d, m.NumPages(), p.NumPages())
-			}
-			mr, err := m.ReadNode(m.RootPage())
-			if err != nil {
-				t.Fatal(err)
-			}
-			pr, err := p.ReadNode(p.RootPage())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mr.Leaf() != pr.Leaf() || mr.Len() != pr.Len() {
-				t.Fatalf("n=%d d=%d: root leaf=%v/%v len=%d/%d", n, d, mr.Leaf(), pr.Leaf(), mr.Len(), pr.Len())
+			deep := 2*index.LeafCapacity(pageSize, d)*index.InternalCapacity(pageSize, d) + 1
+			for _, n := range []int{1, 10, 200, 2500, deep} {
+				items := randItems(rng, n, d, 32)
+				m, err := Build(d, items, &Options{PageSize: pageSize})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := paged.Build(d, items, &paged.Options{PageSize: pageSize})
+				if err != nil {
+					t.Fatal(err)
+				}
+				levels := sameTree(t, fmt.Sprintf("page=%d d=%d n=%d", pageSize, d, n), m, p)
+				if m.NumPages() != p.NumPages() {
+					t.Fatalf("page=%d d=%d n=%d: mem has %d nodes, paged has %d pages", pageSize, d, n, m.NumPages(), p.NumPages())
+				}
+				if n == deep && levels < 3 {
+					t.Fatalf("page=%d d=%d n=%d: tree is %d levels deep, want at least 3", pageSize, d, n, levels)
+				}
 			}
 		}
 	}
+}
+
+// sameTree walks a and b breadth first in step and fails unless every pair
+// of nodes matches: leaf IDs and point bits in order, internal MBR bits in
+// order, with children paired by position. It returns the depth.
+func sameTree(t *testing.T, name string, a, b index.ObjectIndex) int {
+	t.Helper()
+	same := func(x, y vec.Point) bool {
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return len(x) == len(y)
+	}
+	type pair struct{ a, b index.NodeID }
+	level := []pair{{a.RootPage(), b.RootPage()}}
+	depth := 0
+	for ; len(level) > 0; depth++ {
+		var next []pair
+		for i, pr := range level {
+			na, err := a.ReadNode(pr.a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb, err := b.ReadNode(pr.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if na.Leaf() != nb.Leaf() || na.Len() != nb.Len() {
+				t.Fatalf("%s: level %d node %d: leaf=%v/%v len=%d/%d", name, depth, i, na.Leaf(), nb.Leaf(), na.Len(), nb.Len())
+			}
+			for e := 0; e < na.Len(); e++ {
+				if na.Leaf() {
+					oa, ob := na.Object(e), nb.Object(e)
+					if oa.ID != ob.ID || !same(oa.Point, ob.Point) {
+						t.Fatalf("%s: level %d node %d entry %d: object %d %v / %d %v", name, depth, i, e, oa.ID, oa.Point, ob.ID, ob.Point)
+					}
+					continue
+				}
+				ra, rb := na.Rect(e), nb.Rect(e)
+				if !same(ra.Lo, rb.Lo) || !same(ra.Hi, rb.Hi) {
+					t.Fatalf("%s: level %d node %d entry %d: MBR %v / %v", name, depth, i, e, ra, rb)
+				}
+				next = append(next, pair{na.ChildPage(e), nb.ChildPage(e)})
+			}
+		}
+		level = next
+	}
+	return depth
 }
 
 func TestDeleteAll(t *testing.T) {

@@ -1,9 +1,6 @@
 package sharded
 
 import (
-	"math"
-	"sort"
-
 	"prefmatch/internal/index"
 	"prefmatch/internal/vec"
 )
@@ -114,10 +111,20 @@ type Spatial struct{}
 // Name returns "spatial".
 func (Spatial) Name() string { return "spatial" }
 
-// Partition tiles items into exactly n spatially coherent groups.
+// Partition tiles items into exactly n spatially coherent groups
+// (index.STRTiles). The groups alias one reordered copy of items.
 func (Spatial) Partition(items []index.Item, n int) [][]index.Item {
-	out := make([][]index.Item, 0, n)
-	spatialRec(items, n, 0, &out)
+	perm, sizes := index.STRTiles(items, n)
+	sorted := make([]index.Item, len(items))
+	for i, src := range perm {
+		sorted[i] = items[src]
+	}
+	out := make([][]index.Item, len(sizes))
+	off := 0
+	for s, sz := range sizes {
+		out[s] = sorted[off : off+sz]
+		off += sz
+	}
 	return out
 }
 
@@ -143,63 +150,4 @@ func (Spatial) Route(id index.ObjID, p vec.Point, view RouteView) int {
 		}
 	}
 	return best
-}
-
-// spatialRec appends exactly n groups covering items to out. d is the
-// recursion depth; the sort axis is d modulo the dimensionality, so deep
-// recursions (large n, low dim) keep cutting, cycling through the axes.
-func spatialRec(items []index.Item, n, d int, out *[][]index.Item) {
-	if n <= 1 {
-		*out = append(*out, items)
-		return
-	}
-	if len(items) == 0 {
-		for i := 0; i < n; i++ {
-			*out = append(*out, nil)
-		}
-		return
-	}
-	dim := len(items[0].Point)
-	axis := d % dim
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Point[axis] != items[j].Point[axis] {
-			return items[i].Point[axis] < items[j].Point[axis]
-		}
-		return items[i].ID < items[j].ID
-	})
-	// Number of slabs along this axis: the STR rule n^(1/remaining dims),
-	// degenerating to n slabs on the last axis (and past it).
-	slabs := n
-	if remaining := dim - d; remaining > 1 {
-		slabs = int(math.Ceil(math.Pow(float64(n), 1/float64(remaining))))
-		if slabs > n {
-			slabs = n
-		}
-		if slabs < 1 {
-			slabs = 1
-		}
-	}
-	// Distribute the n shards across the slabs as evenly as possible, and
-	// the items across the slabs proportionally to their shard counts, so
-	// every shard ends up with ±1 of the mean.
-	start, cum := 0, 0
-	for _, sc := range evenSplit(n, slabs) {
-		cum += sc
-		end := len(items) * cum / n
-		spatialRec(items[start:end], sc, d+1, out)
-		start = end
-	}
-}
-
-// evenSplit splits n units into k groups whose sizes differ by at most one.
-func evenSplit(n, k int) []int {
-	base, extra := n/k, n%k
-	sizes := make([]int, k)
-	for i := range sizes {
-		sizes[i] = base
-		if i < extra {
-			sizes[i]++
-		}
-	}
-	return sizes
 }

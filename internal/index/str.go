@@ -2,7 +2,7 @@ package index
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // This file hosts the node-layout formulas and the Sort-Tile-Recursive
@@ -32,119 +32,194 @@ func InternalCapacity(pageSize, d int) int {
 	return (pageSize - NodeHeaderSize) / InternalEntrySize(d)
 }
 
-// STRItems partitions items into leaf-sized groups using Sort-Tile-
-// Recursive packing: sort by dimension d, slice into slabs, recurse on the
-// next dimension. Ties break on object ID for determinism. The input slice
-// is reordered in place; the returned groups alias it.
-func STRItems(items []Item, dim, capacity int) [][]Item {
-	return strItems(items, 0, dim, capacity)
+// STR order. Every sort below orders entries by (key, ID, input position):
+// the key is the entry's coordinate on the current axis (its MBR centre's
+// on internal levels), compared with < and >, so −0 and +0 tie and the ID
+// decides. That order is total, so the packing does not depend on the sort
+// algorithm, and with unique IDs the position never decides.
+//
+// The recursions sort 16-byte records instead of items: the keys are copied
+// once into a flat dim-strided slab, each sort loads its records' keys for
+// the current axis from that slab, and the records carry the permutation
+// from one axis to the next. Each entry point returns that permutation
+// (input positions in output order) and the group sizes in output order;
+// callers fill their slabs or pages through it.
+
+// strRec is one entry's sort record.
+type strRec struct {
+	key float64
+	id  int32
+	pos int32
 }
 
-func strItems(items []Item, d, dim, capacity int) [][]Item {
-	if len(items) <= capacity {
-		return [][]Item{items}
+func cmpSTR(a, b strRec) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	case a.id < b.id:
+		return -1
+	case a.id > b.id:
+		return 1
 	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Point[d] != items[j].Point[d] {
-			return items[i].Point[d] < items[j].Point[d]
-		}
-		return items[i].ID < items[j].ID
-	})
-	if d == dim-1 {
-		var out [][]Item
-		start := 0
-		for _, sz := range balancedSizes(len(items), capacity) {
-			out = append(out, items[start:start+sz])
-			start += sz
-		}
-		return out
+	return int(a.pos) - int(b.pos)
+}
+
+// packer is one packing's state: entry i's key on axis a is keys[i*dim+a],
+// recs holds the entries in their current order, and sizes the groups
+// emitted so far.
+type packer struct {
+	keys  []float64
+	dim   int
+	recs  []strRec
+	sizes []int
+}
+
+// newPacker returns a packer over n entries with zeroed keys and records
+// naming positions 0..n-1; the caller fills the keys and record IDs.
+func newPacker(n, dim, groups int) packer {
+	p := packer{keys: make([]float64, n*dim), dim: dim, recs: make([]strRec, n), sizes: make([]int, 0, groups)}
+	for i := range p.recs {
+		p.recs[i].pos = int32(i)
 	}
-	pages := ceilDiv(len(items), capacity)
-	slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(dim-d))))
-	var out [][]Item
+	return p
+}
+
+// sort orders recs by their keys on axis.
+func (p *packer) sort(recs []strRec, axis int) {
+	for i := range recs {
+		recs[i].key = p.keys[int(recs[i].pos)*p.dim+axis]
+	}
+	slices.SortFunc(recs, cmpSTR)
+}
+
+// result returns the packing's permutation and group sizes.
+func (p *packer) result() (perm []int32, sizes []int) {
+	perm = make([]int32, len(p.recs))
+	for i := range p.recs {
+		perm[i] = p.recs[i].pos
+	}
+	return perm, p.sizes
+}
+
+// str packs recs into groups of at most capacity entries: sort on axis d,
+// cut into ⌈pages^(1/(dim−d))⌉ slabs of even size, and recurse on the next
+// axis; the last axis is cut into ⌈n/capacity⌉ even groups, so no group
+// falls below half the capacity (the paged minimum-fill invariant).
+func (p *packer) str(recs []strRec, d, capacity int) {
+	n := len(recs)
+	if n <= capacity {
+		p.sizes = append(p.sizes, n)
+		return
+	}
+	p.sort(recs, d)
+	pages := ceilDiv(n, capacity)
+	if d == p.dim-1 {
+		for i := 0; i < pages; i++ {
+			p.sizes = append(p.sizes, evenSize(n, pages, i))
+		}
+		return
+	}
+	slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(p.dim-d))))
 	start := 0
-	for _, sz := range evenSizes(len(items), slabs) {
-		out = append(out, strItems(items[start:start+sz], d+1, dim, capacity)...)
-		start += sz
+	for i := 0; i < slabs; i++ {
+		end := start + evenSize(n, slabs, i)
+		p.str(recs[start:end], d+1, capacity)
+		start = end
 	}
-	return out
 }
 
-// STRGroups is STR over an already-built level of n entries, keyed by MBR
-// centers (center(i, d) is entry i's MBR center in dimension d) with a
-// child-ID tie-break; it returns groups of positions into the level.
-func STRGroups(n int, center func(i, d int) float64, id func(i int) int32, dim, capacity int) [][]int {
-	idxs := make([]int, n)
-	for i := range idxs {
-		idxs[i] = i
+// tile cuts recs into exactly n groups, the spatial partitioner's rule. d
+// is the recursion depth; the sort axis is d modulo the dimensionality.
+// Each axis gets ⌈n^(1/(dim−d))⌉ slabs (n slabs on the last axis), the n
+// groups are spread evenly over the slabs, and the entries over the slabs
+// in proportion to their group counts, so every group holds ±1 of the mean.
+func (p *packer) tile(recs []strRec, n, d int) {
+	if n <= 1 {
+		p.sizes = append(p.sizes, len(recs))
+		return
 	}
-	var rec func(idxs []int, d int) [][]int
-	rec = func(idxs []int, d int) [][]int {
-		if len(idxs) <= capacity {
-			return [][]int{idxs}
+	if len(recs) == 0 {
+		for i := 0; i < n; i++ {
+			p.sizes = append(p.sizes, 0)
 		}
-		sort.Slice(idxs, func(a, b int) bool {
-			ca, cb := center(idxs[a], d), center(idxs[b], d)
-			if ca != cb {
-				return ca < cb
-			}
-			return id(idxs[a]) < id(idxs[b])
-		})
-		if d == dim-1 {
-			var out [][]int
-			start := 0
-			for _, sz := range balancedSizes(len(idxs), capacity) {
-				out = append(out, idxs[start:start+sz])
-				start += sz
-			}
-			return out
-		}
-		pages := ceilDiv(len(idxs), capacity)
-		slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(dim-d))))
-		var out [][]int
-		start := 0
-		for _, sz := range evenSizes(len(idxs), slabs) {
-			out = append(out, rec(idxs[start:start+sz], d+1)...)
-			start += sz
-		}
-		return out
+		return
 	}
-	return rec(idxs, 0)
+	p.sort(recs, d%p.dim)
+	slabs := n
+	if remaining := p.dim - d; remaining > 1 {
+		slabs = min(n, max(1, int(math.Ceil(math.Pow(float64(n), 1/float64(remaining))))))
+	}
+	start, cum := 0, 0
+	for i := 0; i < slabs; i++ {
+		sc := evenSize(n, slabs, i)
+		cum += sc
+		end := len(recs) * cum / n
+		p.tile(recs[start:end], sc, d+1)
+		start = end
+	}
 }
 
-// balancedSizes partitions n elements into groups of at most capacity, as
-// evenly as possible, so that no remainder group falls below half the
-// capacity (which would violate the paged minimum-fill invariant).
-func balancedSizes(n, capacity int) []int {
-	groups := ceilDiv(n, capacity)
-	base := n / groups
-	extra := n % groups
-	sizes := make([]int, groups)
-	for i := range sizes {
-		sizes[i] = base
-		if i < extra {
-			sizes[i]++
-		}
-	}
-	return sizes
+// STRItems packs items into leaf groups of at most capacity entries by
+// Sort-Tile-Recursive packing: sort on the first axis, cut into slabs,
+// recurse on the next axis. Each sort orders entries by (coordinate, ID,
+// input position), a total order, so the groups do not depend on the sort
+// algorithm. It returns the input positions in packing order and the group
+// sizes; items is not modified.
+func STRItems(items []Item, dim, capacity int) (perm []int32, sizes []int) {
+	p := itemPacker(items, dim, 2*ceilDiv(len(items), capacity)+1)
+	p.str(p.recs, 0, capacity)
+	return p.result()
 }
 
-// evenSizes splits n elements into exactly k non-empty groups (k <= n) with
-// sizes differing by at most one.
-func evenSizes(n, k int) []int {
-	if k > n {
-		k = n
+// STRGroups is STRItems over an already-built level of entries: entry i has
+// the dim-strided MBR lo[i*dim:(i+1)*dim], hi[i*dim:(i+1)*dim] and ID
+// ids[i]. Each sort orders entries by (MBR centre (lo+hi)/2, ID, position),
+// a total order, so the groups do not depend on the sort algorithm.
+func STRGroups[ID ~int32](lo, hi []float64, ids []ID, dim, capacity int) (perm []int32, sizes []int) {
+	p := newPacker(len(ids), dim, 2*ceilDiv(len(ids), capacity)+1)
+	for i := range p.keys {
+		p.keys[i] = (lo[i] + hi[i]) / 2
 	}
-	base := n / k
-	extra := n % k
-	sizes := make([]int, k)
-	for i := range sizes {
-		sizes[i] = base
-		if i < extra {
-			sizes[i]++
-		}
+	for i, id := range ids {
+		p.recs[i].id = int32(id)
 	}
-	return sizes
+	p.str(p.recs, 0, capacity)
+	return p.result()
+}
+
+// STRTiles cuts items into exactly n spatially coherent groups, some
+// possibly empty, by the same (coordinate, ID, position) sorts with the
+// group count as the target (see tile). It returns the input positions in
+// tile order and the n group sizes; items is not modified.
+func STRTiles(items []Item, n int) (perm []int32, sizes []int) {
+	dim := 0
+	if len(items) > 0 {
+		dim = len(items[0].Point)
+	}
+	p := itemPacker(items, dim, max(n, 1))
+	p.tile(p.recs, n, 0)
+	return p.result()
+}
+
+// itemPacker returns a packer over the items' points and IDs.
+func itemPacker(items []Item, dim, groups int) packer {
+	p := newPacker(len(items), dim, groups)
+	for i := range items {
+		copy(p.keys[i*dim:(i+1)*dim], items[i].Point)
+		p.recs[i].id = int32(items[i].ID)
+	}
+	return p
+}
+
+// evenSize is the size of group i when n entries are cut into k groups
+// whose sizes differ by at most one, the larger groups first.
+func evenSize(n, k, i int) int {
+	if i < n%k {
+		return n/k + 1
+	}
+	return n / k
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -72,12 +72,12 @@ func NewFunction(id int, weights []float64) (Function, error) {
 	return f, err
 }
 
-// overflowScale rescales weights whose sum overflows float64. Multiplying
+// OverflowScale rescales weights whose sum overflows float64. Multiplying
 // by a power of two is exact, so the normalised weights are bit-identical
 // to those of the same preference written at a smaller scale; and with
 // every weight below 2^1024, the rescaled sum of any slice that fits in
 // memory is finite.
-const overflowScale = 0x1p-64
+const OverflowScale = 0x1p-64
 
 // AppendFunction is the allocation-free form of NewFunction: the normalised
 // weights are appended to arena and the returned function's Weights alias the
@@ -105,7 +105,7 @@ func AppendFunction(arena vec.Point, id int, weights []float64) (Function, vec.P
 	scale := 1.0
 	if math.IsInf(sum, 1) {
 		// Finite weights whose sum overflows: w/+Inf would zero them all.
-		scale, sum = overflowScale, 0
+		scale, sum = OverflowScale, 0
 		for _, w := range weights {
 			sum += w * scale
 		}

@@ -210,21 +210,19 @@ func (t *Tree) BulkLoad(items []Item) error {
 		return nil
 	}
 
-	// Fill leaves at ~90% so that subsequent inserts do not split
-	// immediately; STR classically packs full, but the matchers here mostly
-	// delete, for which full packing is fine too. Use full packing to match
-	// the paper's static indexes.
-	sorted := make([]Item, len(items))
-	copy(sorted, items)
-
-	leafGroups := index.STRItems(sorted, t.dim, t.maxLeaf)
-	level := make([]entry, 0, len(leafGroups))
-	for _, g := range leafGroups {
-		n := &Node{leaf: true, entries: make([]entry, len(g))}
-		for i, it := range g {
-			p := it.Point.Clone()
-			n.entries[i] = entry{rect: vec.Rect{Lo: p, Hi: p}, obj: it.ID}
+	// STR packs every node full, like the paper's static indexes.
+	perm, sizes := index.STRItems(items, t.dim, t.maxLeaf)
+	level := make([]entry, 0, len(sizes))
+	off := 0
+	for _, sz := range sizes {
+		// The node is encoded to its page at once, so its entries may alias
+		// the caller's points.
+		n := &Node{leaf: true, entries: make([]entry, sz)}
+		for i, src := range perm[off : off+sz] {
+			p := items[src].Point
+			n.entries[i] = entry{rect: vec.Rect{Lo: p, Hi: p}, obj: items[src].ID}
 		}
+		off += sz
 		id := t.store.Alloc()
 		if err := t.flushNode(id, n); err != nil {
 			return err
@@ -233,17 +231,25 @@ func (t *Tree) BulkLoad(items []Item) error {
 	}
 	t.height = 1
 	// Pack internal levels until a single root remains.
+	d := t.dim
 	for len(level) > 1 {
-		lv := level
-		groups := index.STRGroups(len(lv), func(i, d int) float64 {
-			return (lv[i].rect.Lo[d] + lv[i].rect.Hi[d]) / 2
-		}, func(i int) int32 { return int32(lv[i].child) }, t.dim, t.maxInternal)
-		next := make([]entry, 0, len(groups))
-		for _, g := range groups {
-			ents := make([]entry, len(g))
-			for j, idx := range g {
-				ents[j] = lv[idx]
+		lo := make([]float64, len(level)*d)
+		hi := make([]float64, len(level)*d)
+		kids := make([]pagedfile.PageID, len(level))
+		for i, e := range level {
+			copy(lo[i*d:(i+1)*d], e.rect.Lo)
+			copy(hi[i*d:(i+1)*d], e.rect.Hi)
+			kids[i] = e.child
+		}
+		perm, sizes := index.STRGroups(lo, hi, kids, d, t.maxInternal)
+		next := make([]entry, 0, len(sizes))
+		off := 0
+		for _, sz := range sizes {
+			ents := make([]entry, sz)
+			for j, src := range perm[off : off+sz] {
+				ents[j] = level[src]
 			}
+			off += sz
 			n := &Node{leaf: false, entries: ents}
 			id := t.store.Alloc()
 			if err := t.flushNode(id, n); err != nil {

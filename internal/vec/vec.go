@@ -334,8 +334,16 @@ func MBROfFlatPoints(coords []float64, d int) Rect {
 	if len(coords) == 0 || d < 1 {
 		panic("vec: MBR of empty flat point set")
 	}
-	lo := make(Point, d)
-	hi := make(Point, d)
+	r := Rect{Lo: make(Point, d), Hi: make(Point, d)}
+	FlatPointsMBR(r.Lo, r.Hi, coords)
+	return r
+}
+
+// FlatPointsMBR writes the minimum bounding rectangle of the dim-strided
+// points in coords into lo and hi, whose common length is the dimension.
+// coords must hold at least one point.
+func FlatPointsMBR(lo, hi, coords []float64) {
+	d := len(lo)
 	copy(lo, coords[:d])
 	copy(hi, coords[:d])
 	for off := d; off < len(coords); off += d {
@@ -349,7 +357,6 @@ func MBROfFlatPoints(coords []float64, d int) Rect {
 			}
 		}
 	}
-	return Rect{Lo: lo, Hi: hi}
 }
 
 // MBROfFlatRects returns the minimum bounding rectangle of the dim-strided
@@ -360,8 +367,16 @@ func MBROfFlatRects(lo, hi []float64, d int) Rect {
 	if len(lo) == 0 || d < 1 {
 		panic("vec: MBR of empty flat rect set")
 	}
-	outLo := make(Point, d)
-	outHi := make(Point, d)
+	r := Rect{Lo: make(Point, d), Hi: make(Point, d)}
+	FlatRectsMBR(r.Lo, r.Hi, lo, hi)
+	return r
+}
+
+// FlatRectsMBR writes the minimum bounding rectangle of the dim-strided
+// rectangles in lo and hi into outLo and outHi, whose common length is the
+// dimension. The slabs must hold at least one rectangle.
+func FlatRectsMBR(outLo, outHi, lo, hi []float64) {
+	d := len(outLo)
 	copy(outLo, lo[:d])
 	copy(outHi, hi[:d])
 	for off := d; off < len(lo); off += d {
@@ -374,7 +389,6 @@ func MBROfFlatRects(lo, hi []float64, d int) Rect {
 			}
 		}
 	}
-	return Rect{Lo: outLo, Hi: outHi}
 }
 
 // MBROfRects returns the minimum bounding rectangle of the given rectangles.

@@ -3,6 +3,7 @@ package prefmatch
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"prefmatch/internal/core"
 	"prefmatch/internal/index"
@@ -33,13 +34,7 @@ type PreferenceQuery struct {
 // passing a Query to them is exactly equivalent to the Query-typed methods;
 // only when a Query is used as an anonymous monotone function elsewhere does
 // the raw sum apply.
-func (q Query) Score(values []float64) float64 {
-	s := 0.0
-	for i, w := range q.Weights {
-		s += w * values[i]
-	}
-	return s
-}
+func (q Query) Score(values []float64) float64 { return linearScore(q.Weights, values) }
 
 // Score makes PreferenceQuery satisfy Preference by delegating to the
 // wrapped function, so the two query types share one interface: Preference
@@ -121,11 +116,29 @@ type LinearPreference struct {
 	Weights []float64
 }
 
-// Score returns the weighted sum Σ Weights[i]·values[i].
-func (l LinearPreference) Score(values []float64) float64 {
-	s := 0.0
-	for i, w := range l.Weights {
+// Score returns the weighted sum Σ Weights[i]·values[i]. Weights whose sum
+// overflows float64 are scaled down first, see linearScore.
+func (l LinearPreference) Score(values []float64) float64 { return linearScore(l.Weights, values) }
+
+// linearScore is the raw weighted sum Σ weights[i]·values[i]. Weights whose
+// sum overflows are first multiplied by prefs.OverflowScale, the power of
+// two prefs.AppendFunction applies to such Query weights: without it every
+// score of weights near math.MaxFloat64 would be +Inf and a ranking would
+// fall to its tie-break. The scale depends on the weights alone, so one
+// preference scores every object alike; below the overflow the sum keeps
+// its bits.
+func linearScore(weights, values []float64) float64 {
+	s, sum := 0.0, 0.0
+	for i, w := range weights {
 		s += w * values[i]
+		sum += w
+	}
+	if !math.IsInf(sum, 0) {
+		return s
+	}
+	s = 0
+	for i, w := range weights {
+		s += w * prefs.OverflowScale * values[i]
 	}
 	return s
 }

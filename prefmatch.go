@@ -82,6 +82,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"prefmatch/internal/core"
@@ -621,17 +622,19 @@ func checkObject(o Object, d int) error {
 }
 
 // convertObjects validates objects and converts them to index items plus a
-// capacity map (nil when every capacity is the default 1).
+// capacity map (nil when every capacity is the default 1). The items'
+// points are windows into one slab, which every backend copies on build.
+// A faulty set reports its first fault in input order: an object that
+// fails checkObject, or one whose ID an earlier object already has.
 func convertObjects(objects []Object, d int) ([]index.Item, map[index.ObjID]int, error) {
 	items := make([]index.Item, len(objects))
-	seenObj := make(map[int]bool, len(objects))
+	slab := make([]float64, len(objects)*d)
 	var capacities map[index.ObjID]int
+	valid, checkErr := len(objects), error(nil)
 	for i, o := range objects {
 		if err := checkObject(o, d); err != nil {
-			return nil, nil, err
-		}
-		if seenObj[o.ID] {
-			return nil, nil, fmt.Errorf("prefmatch: duplicate object ID %d", o.ID)
+			valid, checkErr = i, err
+			break
 		}
 		if o.Capacity > 1 {
 			if capacities == nil {
@@ -639,10 +642,38 @@ func convertObjects(objects []Object, d int) ([]index.Item, map[index.ObjID]int,
 			}
 			capacities[index.ObjID(o.ID)] = o.Capacity
 		}
-		seenObj[o.ID] = true
-		items[i] = index.Item{ID: index.ObjID(o.ID), Point: vec.Point(o.Values).Clone()}
+		p := slab[i*d : (i+1)*d : (i+1)*d]
+		copy(p, o.Values)
+		items[i] = index.Item{ID: index.ObjID(o.ID), Point: p}
+	}
+	if dup := firstDuplicate(objects[:valid]); dup >= 0 {
+		return nil, nil, fmt.Errorf("prefmatch: duplicate object ID %d", objects[dup].ID)
+	}
+	if checkErr != nil {
+		return nil, nil, checkErr
 	}
 	return items, capacities, nil
+}
+
+// firstDuplicate returns the smallest index whose object ID an earlier
+// object already has, or -1 when the IDs are distinct. It sorts (ID, index)
+// pairs packed into one word, so every ID must fit in 32 bits
+// (checkObject's range).
+func firstDuplicate(objects []Object) int {
+	keys := make([]uint64, len(objects))
+	for i, o := range objects {
+		keys[i] = uint64(o.ID)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	first := -1
+	for i := 1; i < len(keys); i++ {
+		if keys[i]>>32 == keys[i-1]>>32 {
+			if at := int(uint32(keys[i])); first < 0 || at < first {
+				first = at
+			}
+		}
+	}
+	return first
 }
 
 // convertQueries validates queries and converts them to normalised linear

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"prefmatch"
+	"prefmatch/internal/dataset"
 	"prefmatch/internal/index"
 	"prefmatch/internal/index/mem"
 	"prefmatch/internal/prefs"
@@ -280,5 +281,36 @@ func TestServerTopKNodeParity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNewServerAllocsIndependentOfN pins the bulk load's allocation count:
+// converting the objects and STR-packing the arena allocate per tree level,
+// never per object or per node. A Memory server over 40K objects may
+// allocate no more than one over 10K (both trees are three levels deep),
+// up to a slack for the hash-seeded growth of the metric registry's maps,
+// and either count is far below n.
+func TestNewServerAllocsIndependentOfN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector (instrumented allocations, sync.Pool drops puts)")
+	}
+	const slack = 16
+	allocs := func(n int) float64 {
+		items := dataset.Independent(n, 4, 86)
+		objs := make([]prefmatch.Object, n)
+		for i, it := range items {
+			objs[i] = prefmatch.Object{ID: int(it.ID), Values: it.Point}
+		}
+		return testing.AllocsPerRun(5, func() {
+			srv, err := prefmatch.NewServer(objs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Close()
+		})
+	}
+	small, large := allocs(10_000), allocs(40_000)
+	if large > small+slack || small >= 10_000/10 {
+		t.Fatalf("NewServer allocates %v times over 10K objects and %v over 40K; want a count independent of n, below n/10", small, large)
 	}
 }
